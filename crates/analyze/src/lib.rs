@@ -1064,7 +1064,7 @@ mod tests {
             "let unset = p == f64::INFINITY && i == -1;\n",
         );
         assert_eq!(v.len(), 1);
-        assert!(run("crates/precision/src/f16.rs", "a.0 == b.0;\n").is_empty());
+        assert!(run("crates/precision/src/flex.rs", "a.0 == b.0;\n").is_empty());
     }
 
     /// The `to_bits()` idiom R5's own message recommends must not trip

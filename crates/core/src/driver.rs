@@ -18,7 +18,7 @@ use mdmp_faults::FaultKind;
 use mdmp_gpu_sim::{
     CostLedger, DeviceHealth, DeviceSpec, GpuSystem, KernelClass, KernelCost, TimingModel,
 };
-use mdmp_precision::{Bf16, Format, Fp8E4M3, Fp8E5M2, Half, PrecisionMode, Real, Tf32};
+use mdmp_precision::{dispatch_mode, Format, Real};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -166,37 +166,12 @@ pub fn run_with_mode_cached(
     system: &mut GpuSystem,
     store: Option<&dyn PrecalcStore>,
 ) -> Result<MdmpRun, MdmpError> {
-    match cfg.mode {
-        PrecisionMode::Fp64 => run_generic::<f64, f64>(reference, query, cfg, system, false, store),
-        PrecisionMode::Fp32 => run_generic::<f32, f32>(reference, query, cfg, system, false, store),
-        PrecisionMode::Fp16 => {
-            run_generic::<Half, Half>(reference, query, cfg, system, false, store)
-        }
-        PrecisionMode::Mixed => {
-            run_generic::<f32, Half>(reference, query, cfg, system, false, store)
-        }
-        PrecisionMode::Fp16c => {
-            run_generic::<Half, Half>(reference, query, cfg, system, true, store)
-        }
-        PrecisionMode::Bf16 => {
-            run_generic::<Bf16, Bf16>(reference, query, cfg, system, false, store)
-        }
-        PrecisionMode::Tf32 => {
-            run_generic::<Tf32, Tf32>(reference, query, cfg, system, false, store)
-        }
-        // FP8 extension modes: FP32 precalculation by construction.
-        PrecisionMode::Fp8E4M3 => {
-            run_generic::<f32, Fp8E4M3>(reference, query, cfg, system, false, store)
-        }
-        PrecisionMode::Fp8E5M2 => {
-            run_generic::<f32, Fp8E5M2>(reference, query, cfg, system, false, store)
-        }
-        // Tensor-core GEMM modes: FP32 storage + accumulation; the operand
-        // narrowing happens inside the blocked-GEMM dist_calc path.
-        PrecisionMode::Fp16Tc | PrecisionMode::Bf16Tc | PrecisionMode::Tf32Tc => {
-            run_generic::<f32, f32>(reference, query, cfg, system, false, store)
-        }
+    macro_rules! run {
+        ($p:ty, $m:ty) => {
+            run_generic::<$p, $m>(reference, query, cfg, system, store)
+        };
     }
+    dispatch_mode!(cfg.mode, run)
 }
 
 fn run_generic<P: Real, M: Real>(
@@ -204,9 +179,9 @@ fn run_generic<P: Real, M: Real>(
     query: &MultiDimSeries,
     cfg: &MdmpConfig,
     system: &mut GpuSystem,
-    kahan: bool,
     store: Option<&dyn PrecalcStore>,
 ) -> Result<MdmpRun, MdmpError> {
+    let kahan = cfg.mode.compensated_precalc();
     if reference.dims() != query.dims() {
         return Err(MdmpError::DimensionalityMismatch {
             reference: reference.dims(),
@@ -625,6 +600,7 @@ mod tests {
     use super::*;
     use mdmp_data::synthetic::{generate_pair, SyntheticConfig};
     use mdmp_gpu_sim::DeviceSpec;
+    use mdmp_precision::PrecisionMode;
 
     fn small_pair(n: usize, d: usize, m: usize) -> (MultiDimSeries, MultiDimSeries) {
         let cfg = SyntheticConfig {

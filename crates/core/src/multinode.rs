@@ -22,7 +22,7 @@ use crate::tile_exec::{execute_tile, tile_cost_bundle};
 use crate::tiling::{assign_tiles_weighted, compute_tile_list};
 use mdmp_data::MultiDimSeries;
 use mdmp_gpu_sim::ClusterSystem;
-use mdmp_precision::{Bf16, Fp8E4M3, Fp8E5M2, Half, PrecisionMode, Real, Tf32};
+use mdmp_precision::{dispatch_mode, Real};
 
 /// Result of a cluster run.
 #[derive(Debug)]
@@ -47,39 +47,12 @@ pub fn run_on_cluster(
     cfg: &MdmpConfig,
     cluster: &mut ClusterSystem,
 ) -> Result<ClusterRun, MdmpError> {
-    match cfg.mode {
-        PrecisionMode::Fp64 => {
-            run_cluster_generic::<f64, f64>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Fp32 => {
-            run_cluster_generic::<f32, f32>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Fp16 => {
-            run_cluster_generic::<Half, Half>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Mixed => {
-            run_cluster_generic::<f32, Half>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Fp16c => {
-            run_cluster_generic::<Half, Half>(reference, query, cfg, cluster, true)
-        }
-        PrecisionMode::Bf16 => {
-            run_cluster_generic::<Bf16, Bf16>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Tf32 => {
-            run_cluster_generic::<Tf32, Tf32>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Fp8E4M3 => {
-            run_cluster_generic::<f32, Fp8E4M3>(reference, query, cfg, cluster, false)
-        }
-        PrecisionMode::Fp8E5M2 => {
-            run_cluster_generic::<f32, Fp8E5M2>(reference, query, cfg, cluster, false)
-        }
-        // Tensor-core GEMM modes: FP32 storage + accumulation.
-        PrecisionMode::Fp16Tc | PrecisionMode::Bf16Tc | PrecisionMode::Tf32Tc => {
-            run_cluster_generic::<f32, f32>(reference, query, cfg, cluster, false)
-        }
+    macro_rules! run {
+        ($p:ty, $m:ty) => {
+            run_cluster_generic::<$p, $m>(reference, query, cfg, cluster)
+        };
     }
+    dispatch_mode!(cfg.mode, run)
 }
 
 fn run_cluster_generic<P: Real, M: Real>(
@@ -87,8 +60,8 @@ fn run_cluster_generic<P: Real, M: Real>(
     query: &MultiDimSeries,
     cfg: &MdmpConfig,
     cluster: &mut ClusterSystem,
-    kahan: bool,
 ) -> Result<ClusterRun, MdmpError> {
+    let kahan = cfg.mode.compensated_precalc();
     if reference.dims() != query.dims() {
         return Err(MdmpError::DimensionalityMismatch {
             reference: reference.dims(),
@@ -243,6 +216,7 @@ mod tests {
     use crate::driver::run_with_mode;
     use mdmp_data::synthetic::{generate_pair, Pattern, SyntheticConfig};
     use mdmp_gpu_sim::{DeviceSpec, GpuSystem, Interconnect};
+    use mdmp_precision::PrecisionMode;
 
     fn data() -> mdmp_data::SyntheticPair {
         generate_pair(&SyntheticConfig {

@@ -27,7 +27,7 @@ use crate::tiling::{assign_tiles_weighted, compute_tile_list, Tile};
 use mdmp_data::MultiDimSeries;
 use mdmp_faults::FaultKind;
 use mdmp_gpu_sim::{DeviceHealth, GpuSystem};
-use mdmp_precision::{Bf16, Fp8E4M3, Fp8E5M2, Half, PrecisionMode, Real, Tf32};
+use mdmp_precision::{dispatch_mode, Real};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -115,52 +115,23 @@ pub fn run_tile_subset(
     store: Option<&dyn PrecalcStore>,
     indices: &[usize],
 ) -> Result<TileSubsetRun, MdmpError> {
-    match cfg.mode {
-        PrecisionMode::Fp64 => {
-            run_subset_generic::<f64, f64>(reference, query, cfg, system, false, store, indices)
-        }
-        PrecisionMode::Fp32 => {
-            run_subset_generic::<f32, f32>(reference, query, cfg, system, false, store, indices)
-        }
-        PrecisionMode::Fp16 => {
-            run_subset_generic::<Half, Half>(reference, query, cfg, system, false, store, indices)
-        }
-        PrecisionMode::Mixed => {
-            run_subset_generic::<f32, Half>(reference, query, cfg, system, false, store, indices)
-        }
-        PrecisionMode::Fp16c => {
-            run_subset_generic::<Half, Half>(reference, query, cfg, system, true, store, indices)
-        }
-        PrecisionMode::Bf16 => {
-            run_subset_generic::<Bf16, Bf16>(reference, query, cfg, system, false, store, indices)
-        }
-        PrecisionMode::Tf32 => {
-            run_subset_generic::<Tf32, Tf32>(reference, query, cfg, system, false, store, indices)
-        }
-        // FP8 extension modes: FP32 precalculation by construction.
-        PrecisionMode::Fp8E4M3 => {
-            run_subset_generic::<f32, Fp8E4M3>(reference, query, cfg, system, false, store, indices)
-        }
-        PrecisionMode::Fp8E5M2 => {
-            run_subset_generic::<f32, Fp8E5M2>(reference, query, cfg, system, false, store, indices)
-        }
-        // Tensor-core GEMM modes: FP32 storage + accumulation.
-        PrecisionMode::Fp16Tc | PrecisionMode::Bf16Tc | PrecisionMode::Tf32Tc => {
-            run_subset_generic::<f32, f32>(reference, query, cfg, system, false, store, indices)
-        }
+    macro_rules! run {
+        ($p:ty, $m:ty) => {
+            run_subset_generic::<$p, $m>(reference, query, cfg, system, store, indices)
+        };
     }
+    dispatch_mode!(cfg.mode, run)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_subset_generic<P: Real, M: Real>(
     reference: &MultiDimSeries,
     query: &MultiDimSeries,
     cfg: &MdmpConfig,
     system: &mut GpuSystem,
-    kahan: bool,
     store: Option<&dyn PrecalcStore>,
     indices: &[usize],
 ) -> Result<TileSubsetRun, MdmpError> {
+    let kahan = cfg.mode.compensated_precalc();
     if reference.dims() != query.dims() {
         return Err(MdmpError::DimensionalityMismatch {
             reference: reference.dims(),
@@ -330,6 +301,7 @@ mod tests {
     use crate::driver::run_with_mode;
     use mdmp_data::synthetic::{generate_pair, SyntheticConfig};
     use mdmp_gpu_sim::DeviceSpec;
+    use mdmp_precision::PrecisionMode;
 
     fn small_pair(n: usize, d: usize, m: usize) -> (MultiDimSeries, MultiDimSeries) {
         let cfg = SyntheticConfig {

@@ -58,36 +58,13 @@ use crate::tile_exec::{
 use crate::tiling::Tile;
 use mdmp_data::MultiDimSeries;
 use mdmp_faults::FaultKind;
-use mdmp_precision::{Bf16, Fp8E4M3, Fp8E5M2, Half, PrecisionMode, Real, Tf32};
+use mdmp_precision::{dispatch_mode, Real};
 use std::time::{Duration, Instant};
 
 /// Route a delta tile's initial-QT computation through the host worker pool
 /// once it costs at least this many dot-product operations
 /// (`d · (rows + cols) · m`); below that, thread spawn overhead dominates.
 const STREAM_POOL_MIN_DOT_OPS: usize = 1 << 14;
-
-/// Dispatch `$run!(P, M)` for a precision mode's (precalc, main-loop) type
-/// pair — the mode table of `tile_exec` (tensor-core modes run their vector
-/// reference arithmetic in FP32; the GEMM rounding happens per operand
-/// inside the MMA unit).
-macro_rules! dispatch_mode {
-    ($mode:expr, $run:ident) => {
-        match $mode {
-            PrecisionMode::Fp64 => $run!(f64, f64),
-            PrecisionMode::Fp32 => $run!(f32, f32),
-            PrecisionMode::Fp16 => $run!(Half, Half),
-            PrecisionMode::Mixed => $run!(f32, Half),
-            PrecisionMode::Fp16c => $run!(Half, Half),
-            PrecisionMode::Bf16 => $run!(Bf16, Bf16),
-            PrecisionMode::Tf32 => $run!(Tf32, Tf32),
-            PrecisionMode::Fp8E4M3 => $run!(f32, Fp8E4M3),
-            PrecisionMode::Fp8E5M2 => $run!(f32, Fp8E5M2),
-            PrecisionMode::Fp16Tc | PrecisionMode::Bf16Tc | PrecisionMode::Tf32Tc => {
-                $run!(f32, f32)
-            }
-        }
-    };
-}
 
 /// One side's cached precalculation state: full-side rolling statistics
 /// (exact f64 image of the precalc precision) plus the accumulator
@@ -661,6 +638,7 @@ mod tests {
     use mdmp_data::synthetic::{generate_pair, Pattern, SyntheticConfig};
     use mdmp_faults::FaultPlan;
     use mdmp_gpu_sim::{DeviceSpec, GpuSystem};
+    use mdmp_precision::PrecisionMode;
     use std::sync::Arc;
 
     fn series_pair(n: usize) -> (MultiDimSeries, MultiDimSeries) {

@@ -693,17 +693,12 @@ mod tests {
         let q = series(5, 2, 70);
         let tile = compute_tile_list(r.n_segments(m), q.n_segments(m), 1).unwrap()[0];
         let cfg = MdmpConfig::new(m, mode);
-        let out = match mode {
-            PrecisionMode::Fp64 => execute_tile::<f64, f64>(&r, &q, &tile, &cfg, false),
-            PrecisionMode::Fp32 => execute_tile::<f32, f32>(&r, &q, &tile, &cfg, false),
-            PrecisionMode::Fp16 => execute_tile::<Half, Half>(&r, &q, &tile, &cfg, false),
-            PrecisionMode::Mixed => execute_tile::<f32, Half>(&r, &q, &tile, &cfg, false),
-            PrecisionMode::Fp16c => execute_tile::<Half, Half>(&r, &q, &tile, &cfg, true),
-            PrecisionMode::Fp16Tc | PrecisionMode::Bf16Tc | PrecisionMode::Tf32Tc => {
-                execute_tile::<f32, f32>(&r, &q, &tile, &cfg, false)
-            }
-            _ => unreachable!("gate tests cover the paper and TC modes"),
-        };
+        macro_rules! run {
+            ($p:ty, $m:ty) => {
+                execute_tile::<$p, $m>(&r, &q, &tile, &cfg, mode.compensated_precalc())
+            };
+        }
+        let out = mdmp_precision::dispatch_mode!(mode, run);
         (out.profile, max_profile_value(m))
     }
 

@@ -233,6 +233,52 @@ impl PrecisionMode {
     }
 }
 
+/// Expand `$run!(P, M)` with the (precalculation, main-loop) [`Real`] type
+/// pair of a [`PrecisionMode`] — the one mode → type table. `$run` is a
+/// `macro_rules!` macro taking two types, usually defined in the calling
+/// function so it can capture locals:
+///
+/// ```
+/// use mdmp_precision::{dispatch_mode, PrecisionMode, Real};
+///
+/// fn names<P: Real, M: Real>() -> (&'static str, &'static str) {
+///     (P::NAME, M::NAME)
+/// }
+/// macro_rules! run {
+///     ($p:ty, $m:ty) => {
+///         names::<$p, $m>()
+///     };
+/// }
+/// assert_eq!(dispatch_mode!(PrecisionMode::Mixed, run), ("FP32", "FP16"));
+/// ```
+///
+/// FP16C shares FP16's types; its Kahan compensation is
+/// [`PrecisionMode::compensated_precalc`]. The tensor-core modes run their
+/// vector arithmetic in FP32; the GEMM rounds its operands per MMA inside
+/// the simulated tensor core.
+///
+/// [`Real`]: crate::Real
+#[macro_export]
+macro_rules! dispatch_mode {
+    ($mode:expr, $run:ident) => {
+        match $mode {
+            $crate::PrecisionMode::Fp64 => $run!(f64, f64),
+            $crate::PrecisionMode::Fp32 => $run!(f32, f32),
+            $crate::PrecisionMode::Fp16 | $crate::PrecisionMode::Fp16c => {
+                $run!($crate::Half, $crate::Half)
+            }
+            $crate::PrecisionMode::Mixed => $run!(f32, $crate::Half),
+            $crate::PrecisionMode::Bf16 => $run!($crate::Bf16, $crate::Bf16),
+            $crate::PrecisionMode::Tf32 => $run!($crate::Tf32, $crate::Tf32),
+            $crate::PrecisionMode::Fp8E4M3 => $run!(f32, $crate::Fp8E4M3),
+            $crate::PrecisionMode::Fp8E5M2 => $run!(f32, $crate::Fp8E5M2),
+            $crate::PrecisionMode::Fp16Tc
+            | $crate::PrecisionMode::Bf16Tc
+            | $crate::PrecisionMode::Tf32Tc => $run!(f32, f32),
+        }
+    };
+}
+
 impl fmt::Display for PrecisionMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
@@ -317,6 +363,26 @@ mod tests {
         assert_eq!(PrecisionMode::Tf32Tc.tc_input(), Some(Format::Tf32));
         for mode in PrecisionMode::PAPER_MODES {
             assert!(!mode.uses_tensor_cores());
+        }
+    }
+
+    /// The type table agrees with the format table for every mode.
+    #[test]
+    fn dispatch_table_agrees_with_formats() {
+        use crate::Real;
+        fn check<T: Real>(mode: PrecisionMode, side: &str, format: Format) {
+            assert_eq!(T::NAME, format.to_string(), "{mode} {side}");
+            assert_eq!(T::BYTES, format.bytes(), "{mode} {side}");
+            assert_eq!(T::EPSILON, format.epsilon(), "{mode} {side}");
+        }
+        for mode in PrecisionMode::ALL {
+            macro_rules! run {
+                ($p:ty, $m:ty) => {{
+                    check::<$p>(mode, "precalc", mode.precalc_format());
+                    check::<$m>(mode, "main loop", mode.main_format());
+                }};
+            }
+            crate::dispatch_mode!(mode, run);
         }
     }
 

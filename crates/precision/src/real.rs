@@ -3,17 +3,20 @@
 //!
 //! `mdmp-core` instantiates every kernel once per precision mode; the trait
 //! keeps that code monomorphic (no dynamic dispatch on the hot path) while
-//! letting a single implementation cover FP64, FP32, FP16, BF16 and TF32 —
-//! mirroring how the paper's CUDA code is templated over the data type.
+//! letting a single implementation cover FP64, FP32 and every [`Flex`]
+//! format (FP16, BF16, TF32, FP8) — mirroring how the paper's CUDA code is
+//! templated over the data type.
+//!
+//! [`Flex`]: crate::Flex
 
-use crate::{Bf16, Half, Tf32};
 use core::fmt::{Debug, Display};
 use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A floating point scalar usable in the matrix profile kernels.
 ///
-/// Implementations exist for [`f64`], [`f32`], [`Half`], [`Bf16`] and
-/// [`Tf32`]. All conversions in and out go through `f64`, which represents
+/// Implementations exist for [`f64`], [`f32`] and every [`crate::Flex`]
+/// geometry ([`crate::Half`], [`crate::Bf16`], [`crate::Tf32`], …). All
+/// conversions in and out go through `f64`, which represents
 /// every value of every supported format exactly.
 pub trait Real:
     Copy
@@ -281,189 +284,6 @@ impl Real for f32 {
     }
 }
 
-impl Real for Half {
-    const NAME: &'static str = "FP16";
-    const BYTES: usize = 2;
-    const EPSILON: f64 = 0.0009765625; // 2^-10
-    const MAX_FINITE: f64 = 65504.0;
-
-    #[inline]
-    fn from_f64(x: f64) -> Self {
-        Half::from_f64(x)
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        Half::to_f64(self)
-    }
-    #[inline]
-    fn infinity() -> Self {
-        Half::INFINITY
-    }
-    #[inline]
-    fn neg_infinity() -> Self {
-        Half::NEG_INFINITY
-    }
-    #[inline]
-    fn sqrt(self) -> Self {
-        Half::sqrt(self)
-    }
-    #[inline]
-    fn abs(self) -> Self {
-        Half::abs(self)
-    }
-    #[inline]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        Half::mul_add(self, a, b)
-    }
-    #[inline]
-    fn is_nan(self) -> bool {
-        Half::is_nan(self)
-    }
-    #[inline]
-    fn is_finite(self) -> bool {
-        Half::is_finite(self)
-    }
-    #[inline]
-    fn min(self, other: Self) -> Self {
-        Half::min(self, other)
-    }
-    #[inline]
-    fn max(self, other: Self) -> Self {
-        Half::max(self, other)
-    }
-    #[inline]
-    fn total_order(self, other: Self) -> core::cmp::Ordering {
-        self.total_cmp(&other)
-    }
-    type SortKey = i32;
-    #[inline(always)]
-    fn sort_key(self) -> i32 {
-        self.total_key()
-    }
-}
-
-impl Real for Bf16 {
-    const NAME: &'static str = "BF16";
-    const BYTES: usize = 2;
-    const EPSILON: f64 = 0.0078125; // 2^-7
-    const MAX_FINITE: f64 = 3.3895313892515355e38;
-
-    #[inline]
-    fn from_f64(x: f64) -> Self {
-        Bf16::from_f64(x)
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        Bf16::to_f64(self)
-    }
-    #[inline]
-    fn infinity() -> Self {
-        Bf16::INFINITY
-    }
-    #[inline]
-    fn neg_infinity() -> Self {
-        Bf16::NEG_INFINITY
-    }
-    #[inline]
-    fn sqrt(self) -> Self {
-        Bf16::sqrt(self)
-    }
-    #[inline]
-    fn abs(self) -> Self {
-        Bf16::abs(self)
-    }
-    #[inline]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        Bf16::mul_add(self, a, b)
-    }
-    #[inline]
-    fn is_nan(self) -> bool {
-        Bf16::is_nan(self)
-    }
-    #[inline]
-    fn is_finite(self) -> bool {
-        Bf16::is_finite(self)
-    }
-    #[inline]
-    fn min(self, other: Self) -> Self {
-        Bf16::min(self, other)
-    }
-    #[inline]
-    fn max(self, other: Self) -> Self {
-        Bf16::max(self, other)
-    }
-    #[inline]
-    fn total_order(self, other: Self) -> core::cmp::Ordering {
-        self.total_cmp(&other)
-    }
-    type SortKey = i32;
-    #[inline(always)]
-    fn sort_key(self) -> i32 {
-        self.total_key()
-    }
-}
-
-impl Real for Tf32 {
-    const NAME: &'static str = "TF32";
-    const BYTES: usize = 4; // TF32 occupies a full 32-bit word in memory
-    const EPSILON: f64 = 0.0009765625; // 2^-10 (10 explicit mantissa bits)
-    const MAX_FINITE: f64 = f32::MAX as f64;
-
-    #[inline]
-    fn from_f64(x: f64) -> Self {
-        Tf32::from_f64(x)
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        Tf32::to_f64(self)
-    }
-    #[inline]
-    fn infinity() -> Self {
-        Tf32::INFINITY
-    }
-    #[inline]
-    fn neg_infinity() -> Self {
-        Tf32::NEG_INFINITY
-    }
-    #[inline]
-    fn sqrt(self) -> Self {
-        Tf32::sqrt(self)
-    }
-    #[inline]
-    fn abs(self) -> Self {
-        Tf32::abs(self)
-    }
-    #[inline]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        Tf32::mul_add(self, a, b)
-    }
-    #[inline]
-    fn is_nan(self) -> bool {
-        Tf32::is_nan(self)
-    }
-    #[inline]
-    fn is_finite(self) -> bool {
-        Tf32::is_finite(self)
-    }
-    #[inline]
-    fn min(self, other: Self) -> Self {
-        Tf32::min(self, other)
-    }
-    #[inline]
-    fn max(self, other: Self) -> Self {
-        Tf32::max(self, other)
-    }
-    #[inline]
-    fn total_order(self, other: Self) -> core::cmp::Ordering {
-        self.total_cmp(&other)
-    }
-    type SortKey = i32;
-    #[inline(always)]
-    fn sort_key(self) -> i32 {
-        self.total_key()
-    }
-}
-
 /// Convert a slice of `f64` into any [`Real`] format (one rounding per
 /// element), as the host→device copy of a reduced-precision run does.
 pub fn convert_slice<T: Real>(src: &[f64]) -> Vec<T> {
@@ -478,6 +298,7 @@ pub fn widen_slice<T: Real>(src: &[T]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Bf16, Fp8E4M3, Fp8E5M2, Half, Tf32};
 
     fn check_contract<T: Real>() {
         assert_eq!(T::zero().to_f64(), 0.0);
@@ -671,6 +492,22 @@ mod tests {
         assert_eq!(<Half as Real>::EPSILON, 2f64.powi(-10));
         assert_eq!(<Bf16 as Real>::EPSILON, 2f64.powi(-7));
         assert_eq!(<Tf32 as Real>::EPSILON, 2f64.powi(-10));
+    }
+
+    /// `BYTES` drives the modelled memory traffic, so it must be the real
+    /// in-memory footprint of the type.
+    #[test]
+    fn storage_width_matches_bytes() {
+        fn check<T: Real>() {
+            assert_eq!(core::mem::size_of::<T>(), T::BYTES, "{}", T::NAME);
+        }
+        check::<f64>();
+        check::<f32>();
+        check::<Half>();
+        check::<Bf16>();
+        check::<Tf32>();
+        check::<Fp8E4M3>();
+        check::<Fp8E5M2>();
     }
 
     #[test]

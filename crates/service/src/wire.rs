@@ -784,6 +784,13 @@ mod tests {
         // construction); a payload NaN can never narrow.
         assert_eq!(narrowest_width(&[f64::NAN]), 2);
         assert_eq!(narrowest_width(&[f64::from_bits(0x7FF0_0000_0000_0001)]), 8);
+        // The sign of a NaN survives Half, so the negative quiet NaN
+        // narrows too. A payload NaN that `as f32` keeps but Half
+        // canonicalises settles at width 4, either sign.
+        assert_eq!(narrowest_width(&[-f64::NAN]), 2);
+        assert_eq!(narrowest_width(&[f64::from_bits(0x7FFC_0000_0000_0000)]), 4);
+        assert_eq!(narrowest_width(&[f64::from_bits(0xFFFC_0000_0000_0000)]), 4);
+        assert_eq!(narrowest_width(&[f64::from_bits(0x7FF8_0000_0000_0001)]), 8);
         // -0.0 keeps its sign bit at every width.
         assert_eq!(narrowest_width(&[-0.0]), 2);
         assert_eq!(narrowest_width(&[]), 2);
