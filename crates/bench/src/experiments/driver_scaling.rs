@@ -1,19 +1,16 @@
-//! Host pipeline scaling: fused vs unfused row execution across worker
-//! counts (PR 2's worker sweep, extended by PR 4's fused row pipeline).
+//! Host pipeline scaling: the tile pipeline across worker counts.
 //!
 //! For each worker count in {1, 2, 4, N} the ≥16-tile functional workload
-//! runs twice — once with the three-dispatch-per-row pipeline
-//! (`fused_rows(false)`) and once with the fused single-dispatch pass —
-//! and reports real wall-clock, the fused-over-unfused speedup at equal
-//! workers, and the dispatch/pool accounting. Modelled device time is
-//! asserted invariant: neither the worker pool nor row fusion changes the
-//! simulated schedule, only host wall-clock.
+//! runs through the one row pipeline (fused rows for this FP32 workload)
+//! and reports real wall-clock, the speedup over one worker, and the pool
+//! accounting. The bench asserts that the profile is bit-identical and the
+//! modelled device time unchanged across worker counts: the worker pool
+//! changes host wall-clock only, never the simulated schedule.
 //!
 //! These are *measured* numbers: the attainable speedup depends on the
 //! machine running the benchmark (`host_cores` in the emitted JSON). On a
 //! single-core container the parallel runs cannot beat the sequential one
-//! and the table records that honestly; the fused-vs-unfused ratio is
-//! meaningful at every core count because both sides run on the same pool.
+//! and the table records that honestly.
 
 use crate::report::{BenchReport, BenchValue, ExperimentTable};
 use mdmp_core::{run_with_mode, MdmpConfig, MdmpRun};
@@ -58,19 +55,12 @@ fn workload(quick: bool) -> (MultiDimSeries, MultiDimSeries) {
 }
 
 /// One measured configuration: best-of-`repeats` wall clock for a worker
-/// count and pipeline choice on the 16-tile FP32 acceptance workload.
-fn timed_run(
-    r: &MultiDimSeries,
-    q: &MultiDimSeries,
-    workers: usize,
-    fused: bool,
-    repeats: usize,
-) -> MdmpRun {
+/// count on the 16-tile FP32 acceptance workload.
+fn timed_run(r: &MultiDimSeries, q: &MultiDimSeries, workers: usize, repeats: usize) -> MdmpRun {
     // 16 tiles (the acceptance workload) on 4 simulated devices.
     let cfg = MdmpConfig::new(32, PrecisionMode::Fp32)
         .with_tiles(16)
-        .with_host_workers(workers)
-        .with_fused_rows(Some(fused));
+        .with_host_workers(workers);
     let mut sys = GpuSystem::homogeneous(DeviceSpec::a100(), 4);
     let mut best: Option<MdmpRun> = None;
     for _ in 0..repeats {
@@ -86,9 +76,9 @@ fn timed_run(
     best.expect("at least one repeat")
 }
 
-/// The `driver_scaling` experiment: fused vs unfused wall-clock per worker
-/// count. Panics if the two pipelines disagree on the profile or the
-/// modelled schedule — the bench doubles as an end-to-end identity check.
+/// The `driver_scaling` experiment: wall-clock per worker count. Panics if
+/// any worker count changes the profile or the modelled schedule — the
+/// bench doubles as an end-to-end determinism check.
 pub fn driver_scaling(quick: bool) -> ExperimentTable {
     // Let the pool actually grow past the container's core count: on a
     // narrow (1-core) host the vendored pool otherwise caps every run at
@@ -100,54 +90,55 @@ pub fn driver_scaling(quick: bool) -> ExperimentTable {
     let mut table = ExperimentTable::new(
         "driver_scaling",
         &format!(
-            "host wall-clock, fused vs unfused row pipeline per worker count, 16-tile FP32 \
-             workload on {} host cores (best of {repeats}); modelled device time is invariant",
+            "host wall-clock per worker count, 16-tile FP32 workload on {} host cores \
+             (best of {repeats}); profile and modelled device time are invariant",
             host_cores()
         ),
         &[
-            "pipeline/workers",
+            "workers",
             "wall_seconds",
-            "fused_speedup",
+            "speedup_vs_1",
             "modeled_s",
-            "elim_dispatch",
             "pool_reuses",
             "busy_max_s",
         ],
     );
-    for workers in worker_sweep() {
-        let unfused = timed_run(&r, &q, workers, false, repeats);
-        let fused = timed_run(&r, &q, workers, true, repeats);
+    // The sweep starts at one worker: that run is the reference.
+    let runs: Vec<(usize, MdmpRun)> = worker_sweep()
+        .into_iter()
+        .map(|workers| (workers, timed_run(&r, &q, workers, repeats)))
+        .collect();
+    let base = &runs[0].1;
+    for (workers, run) in &runs {
         assert_eq!(
-            unfused.profile, fused.profile,
-            "fused and unfused profiles must be bit-identical"
+            run.profile, base.profile,
+            "{workers} workers: profile must be bit-identical to 1 worker"
         );
         assert_eq!(
-            unfused.modeled_seconds, fused.modeled_seconds,
-            "fusion must not change the modelled schedule"
+            run.modeled_seconds.to_bits(),
+            base.modeled_seconds.to_bits(),
+            "{workers} workers: the pool must not change the modelled schedule"
         );
-        for (label, run) in [("unfused", &unfused), ("fused", &fused)] {
-            // A multi-worker run over ≥16 tiles dispatches many times per
-            // worker; if no thread was ever reused the pool is broken (or
-            // silently capped) and the wall-clock column is meaningless.
-            if workers >= 2 {
-                assert!(
-                    run.pool_thread_reuses > 0,
-                    "{label}/{workers}: pool recorded zero thread reuses"
-                );
-            }
-            let busy_max = run.worker_busy_seconds.iter().copied().fold(0.0, f64::max);
-            table.push(
-                format!("{label}/{workers}"),
-                vec![
-                    run.wall_seconds,
-                    unfused.wall_seconds / run.wall_seconds,
-                    run.modeled_seconds,
-                    run.eliminated_dispatches as f64,
-                    run.pool_thread_reuses as f64,
-                    busy_max,
-                ],
+        // A multi-worker run over ≥16 tiles dispatches many times per
+        // worker; if no thread was ever reused the pool is broken (or
+        // silently capped) and the wall-clock column is meaningless.
+        if *workers >= 2 {
+            assert!(
+                run.pool_thread_reuses > 0,
+                "{workers} workers: pool recorded zero thread reuses"
             );
         }
+        let busy_max = run.worker_busy_seconds.iter().copied().fold(0.0, f64::max);
+        table.push(
+            workers.to_string(),
+            vec![
+                run.wall_seconds,
+                base.wall_seconds / run.wall_seconds,
+                run.modeled_seconds,
+                run.pool_thread_reuses as f64,
+                busy_max,
+            ],
+        );
     }
     rayon::set_global_threads(0);
     table
@@ -173,7 +164,7 @@ pub fn write_bench_json(table: &ExperimentTable, path: &Path) -> io::Result<Path
         .and_then(|p| std::fs::read_to_string(p).ok())
         .and_then(|text| pr2_single_worker_wall(&text));
     if let (Some(pr2_wall), Some((_, cells))) =
-        (baseline, table.rows.iter().find(|(l, _)| l == "fused/1"))
+        (baseline, table.rows.iter().find(|(l, _)| l == "1"))
     {
         report = report.extra_block(
             "pr2_unfused_baseline",
@@ -186,27 +177,18 @@ pub fn write_bench_json(table: &ExperimentTable, path: &Path) -> io::Result<Path
             ],
         );
     }
-    for (label, cells) in &table.rows {
-        let (pipeline, workers) = label.split_once('/').unwrap_or((label.as_str(), "1"));
+    for (workers, cells) in &table.rows {
         report.push_result(vec![
-            ("pipeline".to_string(), BenchValue::str(pipeline)),
             (
                 "workers".to_string(),
                 BenchValue::int(workers.parse().unwrap_or(1)),
             ),
             ("wall_seconds".to_string(), BenchValue::secs(cells[0])),
-            (
-                "fused_speedup_vs_unfused".to_string(),
-                BenchValue::ratio(cells[1]),
-            ),
+            ("speedup_vs_1".to_string(), BenchValue::ratio(cells[1])),
             ("modeled_seconds".to_string(), BenchValue::secs(cells[2])),
             (
-                "eliminated_dispatches".to_string(),
-                BenchValue::int(cells[3] as u64),
-            ),
-            (
                 "pool_thread_reuses".to_string(),
-                BenchValue::int(cells[4] as u64),
+                BenchValue::int(cells[3] as u64),
             ),
         ]);
     }

@@ -7,7 +7,7 @@
 //! | [`tradeoff`] | Fig. 7 (accuracy–performance vs tile count) |
 //! | [`case_studies`] | Fig. 9 (HPC-ODA), Fig. 10 (genome), Fig. 12 + Table I (turbines) |
 //! | [`extensions`] | beyond-paper studies: multi-node, scheduling & clamp ablations, all-modes table, Fig. 8 timeline, Fig. 11 shapes |
-//! | [`driver_scaling`] | fused-vs-unfused row pipeline scaling across host workers (BENCH_PR4.json) |
+//! | [`driver_scaling`] | host-worker scaling of the row pipeline (BENCH_PR4.json) |
 //! | [`cluster_scaling`] | tile-sharding throughput vs worker node count (BENCH_PR6.json) |
 //! | [`tc`] | simulated tensor-core GEMM modes vs the FP64 pipeline (BENCH_PR7.json) |
 //! | [`session_multiplex`] | concurrent streaming sessions + incremental-vs-recompute append cost (BENCH_PR8.json) |

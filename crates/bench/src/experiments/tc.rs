@@ -56,12 +56,7 @@ fn workload(quick: bool) -> (MultiDimSeries, MultiDimSeries) {
 }
 
 fn run_mode(r: &MultiDimSeries, q: &MultiDimSeries, quick: bool, mode: PrecisionMode) -> MdmpRun {
-    // FP64 runs the unfused three-kernel pipeline so its ledger carries a
-    // `dist_calc` row to compare against (the fused pass books the whole
-    // row as `fused_row`); the TC modes ignore the flag and always GEMM.
-    let cfg = MdmpConfig::new(segment_len(quick), mode)
-        .with_tiles(TILES)
-        .with_fused_rows(Some(false));
+    let cfg = MdmpConfig::new(segment_len(quick), mode).with_tiles(TILES);
     let mut sys = GpuSystem::homogeneous(DeviceSpec::a100(), 1);
     run_with_mode(r, q, &cfg, &mut sys).expect("tc bench run failed")
 }

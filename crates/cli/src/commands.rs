@@ -53,22 +53,6 @@ pub fn tc_chunk_k_arg(args: &ParsedArgs) -> Result<Option<usize>, String> {
     Ok(k)
 }
 
-/// `--fused-rows on|off|auto`: `auto` (the default) defers to the env
-/// variable `MDMP_FUSED_ROWS`, else the fused pipeline is on.
-pub fn fused_rows_arg(args: &ParsedArgs) -> Result<Option<bool>, String> {
-    match args
-        .get_or::<String>("fused-rows", "auto".into())
-        .map_err(err)?
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "auto" => Ok(None),
-        "on" | "true" | "1" => Ok(Some(true)),
-        "off" | "false" | "0" => Ok(Some(false)),
-        other => Err(format!("unknown --fused-rows '{other}' (on, off, auto)")),
-    }
-}
-
 fn build_config(args: &ParsedArgs, m: usize) -> Result<MdmpConfig, String> {
     let mode: PrecisionMode = args
         .get_or::<String>("mode", "fp64".into())
@@ -86,14 +70,12 @@ fn build_config(args: &ParsedArgs, m: usize) -> Result<MdmpConfig, String> {
     let fault_plan: Option<String> = args.get("fault-plan").map_err(err)?;
     let tile_retries: u32 = args.get_or("tile-retries", 2).map_err(err)?;
     let tile_timeout_ms: Option<u64> = args.get("tile-timeout-ms").map_err(err)?;
-    let fused_rows = fused_rows_arg(args)?;
     let tc_chunk_k = tc_chunk_k_arg(args)?;
     let mut cfg = MdmpConfig::new(m, mode)
         .with_tiles(tiles)
         .with_schedule(sched)
         .with_host_workers(host_workers)
         .with_tile_retries(tile_retries)
-        .with_fused_rows(fused_rows)
         .with_tc_chunk_k(tc_chunk_k)
         .with_tile_deadline(tile_timeout_ms.map(Duration::from_millis));
     if let Some(spec) = fault_plan {
@@ -386,7 +368,6 @@ COMMANDS:
             [--schedule rr|balanced] [--self-join] [--no-clamp] [--report]
             [--anytime FRACTION] [--seed S] [--repair-dropouts]
             [--host-workers N]  (0 = auto: $MDMP_HOST_WORKERS, else #gpus)
-            [--fused-rows on|off|auto]  (auto: $MDMP_FUSED_ROWS, else on)
             [--tc-chunk-k 4|8|16]  (TC modes; auto: $MDMP_TC_CHUNK_K)
             [--fault-plan SPEC] [--tile-retries N] [--tile-timeout-ms MS]
             fault-plan SPEC: comma-separated, e.g. \"seed=7,kernel@0,stall@3:40,
@@ -402,7 +383,7 @@ COMMANDS:
   submit    [--addr HOST:PORT] --m <len> [--mode ..] [--tiles N] [--gpus N]
             [--priority high|normal|low] [--retries N] [--wait] [--timeout S]
             [--fault-plan SPEC] [--tile-retries N] [--tile-timeout-ms MS]
-            [--deadline-ms MS] [--fused-rows on|off|auto] [--tc-chunk-k 4|8|16]
+            [--deadline-ms MS] [--tc-chunk-k 4|8|16]
             with --reference <csv> [--query <csv>] (server-side paths), or
             synthetic: [--n N] [--d D] [--pattern 0..7] [--noise X] [--seed S]
   status    [--addr HOST:PORT] [--id JOB] [--metrics] [--shutdown | --abort]
@@ -763,16 +744,6 @@ mod tests {
             "/tmp/x.csv",
         ]);
         assert!(generate(&gen2).is_err());
-    }
-
-    #[test]
-    fn fused_rows_flag_parses_and_rejects() {
-        for value in ["on", "off", "auto"] {
-            let est = parsed(&["estimate", "--n", "512", "--fused-rows", value]);
-            estimate(&est).unwrap();
-        }
-        let bad = parsed(&["estimate", "--n", "512", "--fused-rows", "sometimes"]);
-        assert!(estimate(&bad).unwrap_err().contains("--fused-rows"));
     }
 
     #[test]

@@ -123,9 +123,6 @@ fn job_json(args: &ParsedArgs) -> Result<Json, String> {
     if let Some(ms) = args.get::<u64>("tile-timeout-ms").map_err(err)? {
         pairs.push(("tile_deadline_ms", Json::num(ms as f64)));
     }
-    if let Some(fused) = crate::commands::fused_rows_arg(args)? {
-        pairs.push(("fused_rows", Json::Bool(fused)));
-    }
     if let Some(k) = crate::commands::tc_chunk_k_arg(args)? {
         pairs.push(("tc_chunk_k", Json::num(k as f64)));
     }

@@ -333,9 +333,6 @@ pub fn job_spec_json(spec: &JobSpec) -> Result<Json, String> {
     if let Some(plan) = &spec.fault_plan {
         pairs.push(("fault_plan", Json::str(plan.to_string())));
     }
-    if let Some(fused) = spec.fused_rows {
-        pairs.push(("fused_rows", Json::Bool(fused)));
-    }
     if let Some(k) = spec.tc_chunk_k {
         pairs.push(("tc_chunk_k", Json::num(k as f64)));
     }

@@ -34,13 +34,6 @@ pub struct MdmpConfig {
     /// `0` means *auto*: the `MDMP_HOST_WORKERS` environment variable if
     /// set, otherwise one worker per simulated device.
     pub host_workers: usize,
-    /// Fused per-row execution: run `dist_calc + sort_&_incl_scan +
-    /// update_mat_prof` as a single dispatch per reference row
-    /// (`kernels::fused`, DESIGN.md §10). `None` means *auto*: the
-    /// `MDMP_FUSED_ROWS` environment variable if set (`0`/`false`
-    /// disables), otherwise **on**. Fused output is bit-identical to the
-    /// three-kernel pipeline in every precision mode.
-    pub fused_rows: Option<bool>,
     /// Fault injection plan for chaos testing (DESIGN.md §9). `None` — the
     /// default — injects nothing and adds no per-tile overhead.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -80,7 +73,6 @@ impl MdmpConfig {
             exclusion_zone: None,
             schedule: TileSchedule::RoundRobin,
             host_workers: 0,
-            fused_rows: None,
             fault_plan: None,
             tile_retries: 2,
             tile_retry_base: Duration::from_millis(1),
@@ -127,28 +119,6 @@ impl MdmpConfig {
             }
         }
         n_devices.max(1)
-    }
-
-    /// Force the fused row pipeline on or off (builder style); `None`
-    /// restores the auto default (env `MDMP_FUSED_ROWS`, else on).
-    pub fn with_fused_rows(mut self, fused: Option<bool>) -> MdmpConfig {
-        self.fused_rows = fused;
-        self
-    }
-
-    /// Whether this run executes the fused row pipeline: an explicit
-    /// `fused_rows` wins, then the `MDMP_FUSED_ROWS` environment override
-    /// (`0`, `false`, `off`, `no` disable; anything else enables), then the
-    /// default **on** — mirroring [`MdmpConfig::resolved_host_workers`].
-    pub fn resolved_fused_rows(&self) -> bool {
-        if let Some(fused) = self.fused_rows {
-            return fused;
-        }
-        if let Ok(raw) = std::env::var("MDMP_FUSED_ROWS") {
-            let v = raw.trim().to_ascii_lowercase();
-            return !matches!(v.as_str(), "0" | "false" | "off" | "no");
-        }
-        true
     }
 
     /// Set the tensor-core accumulator chunk width (builder style); `None`
@@ -418,27 +388,6 @@ mod tests {
                 .parse()
                 .unwrap();
             assert_eq!(auto.resolved_host_workers(4), n);
-        }
-    }
-
-    #[test]
-    fn fused_rows_resolution_order() {
-        // Explicit setting wins regardless of the environment.
-        let on = MdmpConfig::new(8, PrecisionMode::Fp64).with_fused_rows(Some(true));
-        assert!(on.resolved_fused_rows());
-        let off = MdmpConfig::new(8, PrecisionMode::Fp64).with_fused_rows(Some(false));
-        assert!(!off.resolved_fused_rows());
-        // Auto: env override if present, else on.
-        let auto = MdmpConfig::new(8, PrecisionMode::Fp64);
-        match std::env::var("MDMP_FUSED_ROWS") {
-            Err(_) => assert!(auto.resolved_fused_rows(), "default is on"),
-            Ok(raw) => {
-                let disabled = matches!(
-                    raw.trim().to_ascii_lowercase().as_str(),
-                    "0" | "false" | "off" | "no"
-                );
-                assert_eq!(auto.resolved_fused_rows(), !disabled);
-            }
         }
     }
 

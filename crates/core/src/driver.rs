@@ -77,14 +77,6 @@ pub struct MdmpRun {
     pub faults_injected: u64,
     /// Simulated devices the health ledger quarantined during the run.
     pub quarantined_devices: Vec<usize>,
-    /// Whether tiles ran the fused per-row pass (one dispatch per row)
-    /// instead of the three-kernel pipeline (see
-    /// [`MdmpConfig::resolved_fused_rows`]).
-    pub fused_rows: bool,
-    /// Host dispatches the fused pass eliminated relative to the unfused
-    /// pipeline, summed over all tiles (two per reference row; zero when
-    /// `fused_rows` is off).
-    pub eliminated_dispatches: u64,
     /// MMA accumulator chunk width (= panel height) the run used, when the
     /// mode drives the simulated tensor cores (see
     /// [`MdmpConfig::resolved_tc_chunk_k`]); `None` for vector modes.
@@ -212,9 +204,7 @@ fn run_generic<P: Real, M: Real>(
     let mut streams = vec![0usize; n_gpu];
     let mut global = MatrixProfile::new_unset(n_q, d);
     let host_workers = cfg.resolved_host_workers(n_gpu).min(tiles.len()).max(1);
-    // TC modes run the blocked-GEMM pipeline, which supersedes row fusion.
     let tc_chunk_k = cfg.mode.tc_input().map(|f| cfg.resolved_tc_chunk_k(f));
-    let fused_rows = tc_chunk_k.is_none() && cfg.resolved_fused_rows();
     let pool_before = rayon::pool_stats();
     let wall_start = Instant::now();
 
@@ -323,7 +313,6 @@ fn run_generic<P: Real, M: Real>(
     // times are bit-identical regardless of worker count.
     let mut precalc_hits = 0usize;
     let mut precalc_misses = 0usize;
-    let mut eliminated_dispatches = 0u64;
     let mut consume = |tile_index: usize,
                        out: TileOutput,
                        cached: bool,
@@ -334,7 +323,6 @@ fn run_generic<P: Real, M: Real>(
         } else {
             precalc_misses += 1;
         }
-        eliminated_dispatches += out.eliminated_dispatches;
         submit_tile_costs(
             system,
             dev_idx,
@@ -521,8 +509,6 @@ fn run_generic<P: Real, M: Real>(
         plane_validation_failures: validation_ctr.load(Ordering::Relaxed), // relaxed-ok: same
         faults_injected: fault_ctr.load(Ordering::Relaxed),                // relaxed-ok: same
         quarantined_devices: health.quarantined(),
-        fused_rows,
-        eliminated_dispatches,
         tc_chunk_k,
         pool_dispatches,
         pool_thread_reuses,
@@ -598,6 +584,7 @@ pub(crate) fn merge_model(tiles: &[Tile], d: usize, format: Format) -> (f64, Ker
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tile_exec::execute_tile_three_kernel_oracle;
     use mdmp_data::synthetic::{generate_pair, SyntheticConfig};
     use mdmp_gpu_sim::DeviceSpec;
     use mdmp_precision::PrecisionMode;
@@ -698,17 +685,13 @@ mod tests {
         )
         .unwrap()
         .modeled_seconds;
-        // Fusion requests are superseded by the GEMM pipeline, and the run
-        // surfaces the resolved chunk width.
+        // The run surfaces the resolved chunk width.
         let cfg = MdmpConfig::new(12, PrecisionMode::Fp16Tc)
             .with_tiles(4)
-            .with_fused_rows(Some(true))
             // pinned so a CI-wide MDMP_TC_CHUNK_K cannot shift it
             .with_tc_chunk_k(Some(8));
         let run = run_with_mode(&r, &q, &cfg, &mut sys).unwrap();
         assert_eq!(run.tc_chunk_k, Some(8));
-        assert!(!run.fused_rows, "GEMM path supersedes row fusion");
-        assert_eq!(run.eliminated_dispatches, 0);
         assert!(
             run.modeled_seconds < t64,
             "Fp16Tc model {} not below FP64 {}",
@@ -751,34 +734,102 @@ mod tests {
         }
     }
 
+    /// The three-kernel oracle driven the way [`run_generic`] drives the
+    /// production tiles: the same tile list and device assignment, costs
+    /// submitted tile by tile in index order, and profiles merged by
+    /// `merge_min_columns`. Returns the merged profile, the modelled
+    /// seconds and the ledger.
+    fn three_kernel_oracle_run(
+        reference: &MultiDimSeries,
+        query: &MultiDimSeries,
+        cfg: &MdmpConfig,
+        system: &mut GpuSystem,
+    ) -> (MatrixProfile, f64, CostLedger) {
+        macro_rules! run {
+            ($p:ty, $m:ty) => {
+                oracle_run_generic::<$p, $m>(reference, query, cfg, system)
+            };
+        }
+        dispatch_mode!(cfg.mode, run)
+    }
+
+    fn oracle_run_generic<P: Real, M: Real>(
+        reference: &MultiDimSeries,
+        query: &MultiDimSeries,
+        cfg: &MdmpConfig,
+        system: &mut GpuSystem,
+    ) -> (MatrixProfile, f64, CostLedger) {
+        let kahan = cfg.mode.compensated_precalc();
+        let d = reference.dims();
+        let n_q = query.n_segments(cfg.m);
+        let tiles = compute_tile_list(reference.n_segments(cfg.m), n_q, cfg.n_tiles).unwrap();
+        system.reset();
+        let n_gpu = system.device_count();
+        let overlap = overlap_factor(tiles.len(), n_gpu);
+        let weights: Vec<f64> = (0..n_gpu)
+            .map(|i| system.device(i).spec.mem_bandwidth * system.device(i).spec.mem_eff_fp64)
+            .collect();
+        let assignment = assign_tiles_weighted(&tiles, &weights, cfg.schedule);
+        let mut streams = vec![0usize; n_gpu];
+        let mut global = MatrixProfile::new_unset(n_q, d);
+        for tile in &tiles {
+            let pre = compute_tile_precalc::<P>(reference, query, tile, cfg, kahan);
+            let out = execute_tile_three_kernel_oracle::<M>(&pre, tile, cfg, kahan, false);
+            let dev = assignment[tile.index];
+            submit_tile_costs(
+                system,
+                dev,
+                streams[dev],
+                tile.index,
+                &out.kernel_costs,
+                out.h2d_bytes,
+                out.d2h_bytes,
+                out.device_bytes,
+                overlap,
+            )
+            .unwrap();
+            streams[dev] += 1;
+            global.merge_min_columns(&out.profile, tile.col0);
+        }
+        let (merge_seconds, merge_cost) = merge_model(&tiles, d, cfg.mode.main_format());
+        let mut ledger = system.total_ledger();
+        ledger.record(&merge_cost, merge_seconds);
+        let makespan = (0..n_gpu)
+            .map(|i| system.device(i).timeline.makespan())
+            .fold(0.0, f64::max);
+        (global, makespan + merge_seconds, ledger)
+    }
+
+    fn vector_modes() -> impl Iterator<Item = PrecisionMode> {
+        PrecisionMode::ALL
+            .into_iter()
+            .filter(|mode| !mode.uses_tensor_cores())
+    }
+
     #[test]
     fn fused_run_matches_unfused_with_identical_cost_model() {
         let (r, q) = small_pair(160, 3, 12);
         let mut sys = GpuSystem::homogeneous(DeviceSpec::a100(), 2);
-        for mode in [
-            PrecisionMode::Fp64,
-            PrecisionMode::Fp32,
-            PrecisionMode::Fp16,
-            PrecisionMode::Mixed,
-            PrecisionMode::Fp16c,
-        ] {
-            let base = MdmpConfig::new(12, mode).with_tiles(4);
-            let fused =
-                run_with_mode(&r, &q, &base.clone().with_fused_rows(Some(true)), &mut sys).unwrap();
-            let unfused =
-                run_with_mode(&r, &q, &base.with_fused_rows(Some(false)), &mut sys).unwrap();
-            assert_eq!(fused.profile, unfused.profile, "{mode}: fused != unfused");
-            // The ledger charges the same three per-class kernel costs either
-            // way — fusion removes host dispatches, not modelled device work.
-            assert_eq!(fused.modeled_seconds, unfused.modeled_seconds, "{mode}");
-            assert!(fused.fused_rows && !unfused.fused_rows);
-            assert_eq!(unfused.eliminated_dispatches, 0);
-            let total_rows: u64 = compute_tile_list(160, 160, 4)
-                .unwrap()
-                .iter()
-                .map(|t| t.rows as u64)
-                .sum();
-            assert_eq!(fused.eliminated_dispatches, 2 * total_rows, "{mode}");
+        for mode in vector_modes() {
+            let cfg = MdmpConfig::new(12, mode).with_tiles(4);
+            let fused = run_with_mode(&r, &q, &cfg, &mut sys).unwrap();
+            let (profile, modeled_seconds, ledger) =
+                three_kernel_oracle_run(&r, &q, &cfg, &mut sys);
+            assert_eq!(
+                fused.profile, profile,
+                "{mode}: fused != three-kernel oracle"
+            );
+            // The ledger charges the same three per-class kernel costs
+            // whichever row pipeline computed the profile — fusion removes
+            // host dispatches, not modelled device work.
+            assert_eq!(fused.modeled_seconds, modeled_seconds, "{mode}");
+            for class in [
+                KernelClass::DistCalc,
+                KernelClass::SortScan,
+                KernelClass::UpdateProfile,
+            ] {
+                assert_eq!(fused.ledger.seconds(class), ledger.seconds(class), "{mode}");
+            }
         }
     }
 
@@ -786,7 +837,9 @@ mod tests {
     fn fused_matches_unfused_across_randomized_configs() {
         // Seeded xorshift64* so the "random" configurations are stable
         // across runs; one configuration per precision mode, spanning odd
-        // sizes, self- and AB-joins, and lane-remainder widths.
+        // sizes, self- and AB-joins, and lane-remainder widths. Every mode
+        // takes its draws so the vector modes keep their configurations;
+        // the tensor-core modes (blocked GEMM, no row pass) are skipped.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move |lo: usize, hi: usize| {
             state ^= state << 13;
@@ -803,14 +856,15 @@ mod tests {
             let (r, q_gen) = small_pair(n, d, m);
             let q = if self_join { r.clone() } else { q_gen };
             let mut sys = GpuSystem::homogeneous(DeviceSpec::a100(), next(1, 3));
-            let base = MdmpConfig::new(m, mode).with_tiles(tiles);
-            let fused =
-                run_with_mode(&r, &q, &base.clone().with_fused_rows(Some(true)), &mut sys).unwrap();
-            let unfused =
-                run_with_mode(&r, &q, &base.with_fused_rows(Some(false)), &mut sys).unwrap();
+            if mode.uses_tensor_cores() {
+                continue;
+            }
+            let cfg = MdmpConfig::new(m, mode).with_tiles(tiles);
+            let fused = run_with_mode(&r, &q, &cfg, &mut sys).unwrap();
+            let (profile, modeled_seconds, _) = three_kernel_oracle_run(&r, &q, &cfg, &mut sys);
             let what = format!("{mode} n={n} d={d} m={m} tiles={tiles} self_join={self_join}");
-            assert_eq!(fused.profile, unfused.profile, "{what}: profiles differ");
-            assert_eq!(fused.modeled_seconds, unfused.modeled_seconds, "{what}");
+            assert_eq!(fused.profile, profile, "{what}: profiles differ");
+            assert_eq!(fused.modeled_seconds, modeled_seconds, "{what}");
         }
     }
 
@@ -819,9 +873,7 @@ mod tests {
         use mdmp_faults::{FaultKind, FaultPlan};
         let (r, q) = small_pair(160, 2, 12);
         let mut sys = GpuSystem::homogeneous(DeviceSpec::a100(), 2);
-        let cfg = MdmpConfig::new(12, PrecisionMode::Fp32)
-            .with_tiles(4)
-            .with_fused_rows(Some(true));
+        let cfg = MdmpConfig::new(12, PrecisionMode::Fp32).with_tiles(4);
         let clean = run_with_mode(&r, &q, &cfg, &mut sys).unwrap();
         let plan = FaultPlan::new()
             .with_fault(0, FaultKind::Kernel)
@@ -838,8 +890,6 @@ mod tests {
         );
         assert_eq!(faulted.faults_injected, 3);
         assert_eq!(faulted.tile_retries, 3);
-        assert!(faulted.fused_rows);
-        assert_eq!(clean.eliminated_dispatches, faulted.eliminated_dispatches);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The fused per-row pass: `dist_calc → sort_&_incl_scan →
 //! update_mat_prof` as **one** dispatch per reference row.
 //!
-//! The unfused pipeline launches three host dispatches per row and
-//! materializes an intermediate `scanned` plane between the second and
-//! third. The fused pass walks the row once, column chunk by column chunk:
+//! Pseudocode 1 launches three kernels per row and materializes an
+//! intermediate `scanned` plane between the second and third; that
+//! three-kernel form survives only as the test oracle the fused pass is
+//! proved against. The fused pass walks the row once, column chunk by column chunk:
 //! for every query column `j` it evaluates the streaming QT/dist update
 //! (Eq. 1) into a `d_pad` fiber, runs the *identical* Bitonic comparator
 //! network and Hillis–Steele scan order on that fiber in place (Eq. 2), and
@@ -47,10 +48,8 @@
 
 use super::dist::{dist_value, dist_value_lanes, qt_step, DistParams};
 use super::sort_scan::{bitonic_sort_fiber, inclusive_scan_avg_with, Comparator};
-use super::{dist_cost, sort_scan_cost, update_cost};
 use crate::precalc::Stats;
-use mdmp_gpu_sim::KernelCost;
-use mdmp_precision::{Format, Real};
+use mdmp_precision::Real;
 use rayon::prelude::*;
 
 /// Fibers processed per structure-of-arrays group: 8 × f32 fills one
@@ -353,28 +352,6 @@ pub fn fused_row<T: Real>(
     });
 }
 
-/// Dispatches eliminated per fused row relative to the three-kernel
-/// pipeline (`dist_calc` + `sort_&_incl_scan` + `update_mat_prof` → one).
-pub const DISPATCHES_ELIMINATED_PER_ROW: u64 = 2;
-
-/// The modelled cost of one fused row launch: the three component kernels'
-/// device-side work (traffic, FLOPs, shared-memory ops, intra-kernel
-/// barriers) with their launches collapsed to **one** and a grid-wide sync
-/// per eliminated launch boundary (see [`KernelCost::fuse`]).
-///
-/// The driver's ledger still charges the three per-class costs so the
-/// paper's Fig. 4/5 breakdowns (and modeled device seconds) are unchanged —
-/// on the modelled GPU, the fused kernel's cooperative grid syncs cost what
-/// the launches they replace cost; what fusion removes is *host* dispatch
-/// overhead. This cost exists to quantify the launch collapse.
-pub fn fused_row_cost(n_q: usize, d: usize, format: Format) -> KernelCost {
-    KernelCost::fuse(&[
-        dist_cost(n_q, d, format),
-        sort_scan_cost(n_q, d, format),
-        update_cost(n_q, d, format),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{
@@ -383,8 +360,7 @@ mod tests {
     use super::*;
     use crate::precalc::{compute_stats, initial_qt, SeriesDevice};
     use mdmp_data::MultiDimSeries;
-    use mdmp_gpu_sim::KernelClass;
-    use mdmp_precision::Half;
+    use mdmp_precision::{Bf16, Half, Tf32};
 
     fn series(seed: u64, d: usize, len: usize) -> MultiDimSeries {
         let dims: Vec<Vec<f64>> = (0..d)
@@ -505,22 +481,12 @@ mod tests {
     }
 
     #[test]
-    fn fused_cost_is_one_launch_with_component_work() {
-        let fmt = Format::Fp32;
-        let (n_q, d) = (256, 8);
-        let fused = fused_row_cost(n_q, d, fmt);
-        let parts = [
-            dist_cost(n_q, d, fmt),
-            sort_scan_cost(n_q, d, fmt),
-            update_cost(n_q, d, fmt),
-        ];
-        assert_eq!(fused.class, KernelClass::FusedRow);
-        assert_eq!(fused.launches, 1);
-        assert_eq!(fused.flops, parts.iter().map(|c| c.flops).sum::<u64>());
-        assert_eq!(fused.bytes(), parts.iter().map(|c| c.bytes()).sum::<u64>());
-        assert_eq!(
-            fused.barriers,
-            parts.iter().map(|c| c.barriers).sum::<u64>() + DISPATCHES_ELIMINATED_PER_ROW
-        );
+    fn fused_matches_unfused_bf16() {
+        assert_fused_matches_unfused::<Bf16>(3, 9, None);
+    }
+
+    #[test]
+    fn fused_matches_unfused_tf32_with_exclusion() {
+        assert_fused_matches_unfused::<Tf32>(5, 11, Some(3));
     }
 }

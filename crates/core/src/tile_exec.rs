@@ -14,9 +14,8 @@
 
 use crate::config::MdmpConfig;
 use crate::kernels::{
-    self, comparator_schedule, dist_cost, dist_row, fused_row, gemm_cost, gemm_row, scan_divisors,
+    self, comparator_schedule, dist_cost, fused_row, gemm_cost, gemm_row, scan_divisors,
     sort_scan_cost, sort_scan_row, update_cost, update_profile_row, DistParams,
-    DISPATCHES_ELIMINATED_PER_ROW,
 };
 use crate::precalc::{compute_stats, convert_qt, initial_qt, SeriesDevice, Stats};
 use crate::profile::MatrixProfile;
@@ -42,9 +41,6 @@ pub struct TileOutput {
     pub d2h_bytes: u64,
     /// Device-memory working set of the tile.
     pub device_bytes: u64,
-    /// Host dispatches eliminated by the fused row pipeline
-    /// (`2 × rows` when fused, `0` on the three-kernel path).
-    pub eliminated_dispatches: u64,
 }
 
 /// The outputs of one tile's `precalculation` kernel, widened **exactly** to
@@ -121,12 +117,12 @@ pub fn execute_tile<P: Real, M: Real>(
 /// initial contents a fresh allocation would have (zeros, `+∞`, `-1`), so
 /// pooled execution is bit-identical to unpooled.
 ///
-/// The unfused pipeline uses six planes (`qt_prev`, `qt_next`, `dist`,
-/// `scanned`, `p`, `i`); the fused pipeline drops both `dist` and
-/// `scanned` — its fibers live in a small per-worker scratch block inside
-/// [`fused_row`] — shrinking the pool entry by two planes. The accounting
-/// in [`PlaneBuffers::plane_elems`] reflects whichever shape the last tile
-/// used.
+/// The blocked-GEMM main loop (tensor-core modes) uses six planes
+/// (`qt_prev`, `qt_next`, `dist`, `scanned`, `p`, `i`); the fused row pass
+/// of the vector modes uses four — its per-column fibers live in a small
+/// per-worker scratch block inside [`fused_row`], so `dist` and `scanned`
+/// stay empty. The accounting in [`PlaneBuffers::plane_elems`] reflects
+/// whichever shape the last tile used.
 #[derive(Debug, Default)]
 pub struct PlaneBuffers<M: Real> {
     qt_prev: Vec<M>,
@@ -157,9 +153,9 @@ impl<M: Real> PlaneBuffers<M> {
     /// Reset every plane to its initial contents for an `n_q × d` tile
     /// (`d_pad` = `d` rounded up to a power of two).
     ///
-    /// Unfused: `dist` is `n_q × d`, `scanned` is `n_q × d_pad`. Fused:
-    /// both are released — the fused pass never materializes either plane.
-    fn prepare(&mut self, n_q: usize, d: usize, d_pad: usize, fused: bool) {
+    /// Only the GEMM path materializes `dist` (`n_q × d`) and `scanned`
+    /// (`n_q × d_pad`); the fused pass releases both.
+    fn prepare(&mut self, n_q: usize, d: usize, d_pad: usize, gemm: bool) {
         let plane = n_q * d;
         if self.tiles_executed > 0 {
             self.reuses += 1;
@@ -167,12 +163,12 @@ impl<M: Real> PlaneBuffers<M> {
         self.tiles_executed += 1;
         reset(&mut self.qt_prev, plane, M::zero());
         reset(&mut self.qt_next, plane, M::zero());
-        if fused {
-            reset(&mut self.dist_plane, 0, M::zero());
-            reset(&mut self.scanned, 0, M::zero());
-        } else {
+        if gemm {
             reset(&mut self.dist_plane, plane, M::zero());
             reset(&mut self.scanned, n_q * d_pad, M::zero());
+        } else {
+            reset(&mut self.dist_plane, 0, M::zero());
+            reset(&mut self.scanned, 0, M::zero());
         }
         reset(&mut self.p_plane, plane, M::infinity());
         reset(&mut self.i_plane, plane, -1i64);
@@ -190,7 +186,8 @@ impl<M: Real> PlaneBuffers<M> {
     }
 
     /// Elements currently held across all planes of this pool entry (the
-    /// fused shape is one `n_q × d_pad` plane smaller than the unfused).
+    /// fused shape holds neither the `n_q × d` dist plane nor the
+    /// `n_q × d_pad` scanned plane of the GEMM shape).
     pub fn plane_elems(&self) -> usize {
         self.qt_prev.len()
             + self.qt_next.len()
@@ -248,12 +245,12 @@ pub fn execute_tile_from_precalc_pooled<M: Real>(
     let qt_col0: Vec<M> = convert_qt(&pre.qt_col0);
 
     // Tensor-core modes take the blocked-GEMM dist_calc path, which needs
-    // the materialized dist/scanned planes — it supersedes row fusion.
+    // the materialized dist/scanned planes; every vector mode runs the
+    // fused row pass.
     let tc = cfg.mode.tc_input();
-    let fused = tc.is_none() && cfg.resolved_fused_rows();
 
     // Working planes in the main-loop precision, from the worker's pool.
-    bufs.prepare(n_q, d, d_pad, fused);
+    bufs.prepare(n_q, d, d_pad, tc.is_some());
     let PlaneBuffers {
         qt_prev,
         qt_next,
@@ -266,7 +263,7 @@ pub fn execute_tile_from_precalc_pooled<M: Real>(
 
     let params = DistParams::<M>::new(cfg.m, cfg.clamp, tile.row0, tile.col0, cfg.exclusion_zone);
 
-    let eliminated_dispatches = if let Some(input) = tc {
+    if let Some(input) = tc {
         // Blocked-GEMM main loop (DESIGN.md §13): `qt_prev` doubles as the
         // panel base plane. Each row is a rank-2t update of the base row
         // through the simulated MMA unit; every `chunk_k` rows (and after
@@ -286,10 +283,9 @@ pub fn execute_tile_from_precalc_pooled<M: Real>(
                 base_idx = i;
             }
         }
-        0
-    } else if fused {
-        // Fused main loop (DESIGN.md §10): one dispatch per row over the
-        // same k-major planes as the unfused path; neither the `dist` nor
+    } else {
+        // Fused main loop (DESIGN.md §10): Pseudocode 1's three kernels as
+        // one dispatch per row over k-major planes; neither the `dist` nor
         // the `scanned` plane exists — fibers live in per-worker scratch
         // inside `fused_row`.
         let schedule = comparator_schedule(d_pad);
@@ -312,19 +308,7 @@ pub fn execute_tile_from_precalc_pooled<M: Real>(
             );
             std::mem::swap(qt_prev, qt_next);
         }
-        DISPATCHES_ELIMINATED_PER_ROW * n_r as u64
-    } else {
-        // Main iteration loop (Pseudocode 1, lines 3-7).
-        for i in 0..n_r {
-            dist_row(
-                i, &qt_row0, &qt_col0, qt_prev, qt_next, dist_plane, &rstats, &qstats, &params,
-            );
-            sort_scan_row(dist_plane, scanned, n_q, d);
-            update_profile_row(scanned, p_plane, i_plane, n_q, d, (tile.row0 + i) as i64);
-            std::mem::swap(qt_prev, qt_next);
-        }
-        0
-    };
+    }
     // D2H: widen the profile exactly to f64 (the planes stay in the pool).
     let p_f64: Vec<f64> = p_plane.iter().map(|&v| v.to_f64()).collect();
     let profile = MatrixProfile::from_raw(p_f64, i_plane.clone(), n_q, d);
@@ -338,7 +322,70 @@ pub fn execute_tile_from_precalc_pooled<M: Real>(
         h2d_bytes,
         d2h_bytes,
         device_bytes,
-        eliminated_dispatches,
+    }
+}
+
+/// The three-kernel main loop of Pseudocode 1 (lines 3-7) — `dist_calc`,
+/// `sort_&_incl_scan`, `update_mat_prof` as separate passes over
+/// materialized `dist` and `scanned` planes. Production runs the fused row
+/// pass instead; this is the reference the fused tile, driver and
+/// streaming results are proved bit-identical against. Vector modes only
+/// (the tensor-core modes run the blocked GEMM).
+#[cfg(test)]
+pub(crate) fn execute_tile_three_kernel_oracle<M: Real>(
+    pre: &TilePrecalc,
+    tile: &Tile,
+    cfg: &MdmpConfig,
+    kahan: bool,
+    precalc_cached: bool,
+) -> TileOutput {
+    use crate::kernels::dist_row;
+    assert!(cfg.mode.tc_input().is_none(), "the oracle is vector-only");
+    let d = pre.rstats.d;
+    let (n_r, n_q) = (tile.rows, tile.cols);
+    let rstats: Stats<M> = pre.rstats.convert();
+    let qstats: Stats<M> = pre.qstats.convert();
+    let qt_row0: Vec<M> = convert_qt(&pre.qt_row0);
+    let qt_col0: Vec<M> = convert_qt(&pre.qt_col0);
+    let mut qt_prev = vec![M::zero(); n_q * d];
+    let mut qt_next = vec![M::zero(); n_q * d];
+    let mut dist_plane = vec![M::zero(); n_q * d];
+    let mut scanned = vec![M::zero(); n_q * d.next_power_of_two()];
+    let mut p_plane = vec![M::infinity(); n_q * d];
+    let mut i_plane = vec![-1i64; n_q * d];
+    let params = DistParams::<M>::new(cfg.m, cfg.clamp, tile.row0, tile.col0, cfg.exclusion_zone);
+    for i in 0..n_r {
+        dist_row(
+            i,
+            &qt_row0,
+            &qt_col0,
+            &qt_prev,
+            &mut qt_next,
+            &mut dist_plane,
+            &rstats,
+            &qstats,
+            &params,
+        );
+        sort_scan_row(&dist_plane, &mut scanned, n_q, d);
+        update_profile_row(
+            &scanned,
+            &mut p_plane,
+            &mut i_plane,
+            n_q,
+            d,
+            (tile.row0 + i) as i64,
+        );
+        std::mem::swap(&mut qt_prev, &mut qt_next);
+    }
+    let p_f64: Vec<f64> = p_plane.iter().map(|&v| v.to_f64()).collect();
+    let (kernel_costs, h2d_bytes, d2h_bytes, device_bytes) =
+        tile_cost_bundle_reused(tile, d, cfg, kahan, precalc_cached);
+    TileOutput {
+        profile: MatrixProfile::from_raw(p_f64, i_plane, n_q, d),
+        kernel_costs,
+        h2d_bytes,
+        d2h_bytes,
+        device_bytes,
     }
 }
 
@@ -834,13 +881,11 @@ mod tests {
         }
         assert!(total / ((3 * n_q) as f64) < 0.05, "mean TC drift too large");
         // Cost descriptor: one blocked GEMM (panel-count launches, tc
-        // tagged, fragment traffic) instead of `rows` streaming dispatches,
-        // and no fused-eliminated dispatches.
+        // tagged, fragment traffic) instead of `rows` streaming dispatches.
         let gemm = &out_tc.kernel_costs[1];
         assert_eq!(gemm.tc, Some(mdmp_precision::Format::Fp16));
         assert_eq!(gemm.launches, (tile.rows as u64).div_ceil(8));
         assert!(gemm.frag_bytes > 0);
-        assert_eq!(out_tc.eliminated_dispatches, 0);
         // Deterministic: a rerun is bit-identical.
         let rerun = execute_tile::<f32, f32>(&r, &q, &tile, &cfg_tc, false);
         for k in 0..3 {
@@ -876,5 +921,44 @@ mod tests {
         assert_eq!(out.kernel_costs[1].launches, n_r as u64);
         assert_eq!(out.kernel_costs[2].launches, n_r as u64);
         assert!(out.h2d_bytes > 0 && out.d2h_bytes > 0 && out.device_bytes > 0);
+    }
+
+    #[test]
+    fn fused_tile_matches_three_kernel_oracle_in_every_vector_mode() {
+        let m = 9;
+        let r = series(6, 3, 90);
+        let q = series(6, 3, 90);
+        // An off-diagonal tile of a self-join, so the global offsets and
+        // the exclusion zone both reach the row kernels.
+        let tile = Tile {
+            index: 0,
+            row0: 11,
+            rows: 37,
+            col0: 5,
+            cols: 41,
+        };
+        for mode in PrecisionMode::ALL
+            .into_iter()
+            .filter(|m| !m.uses_tensor_cores())
+        {
+            let mut cfg = MdmpConfig::new(m, mode);
+            cfg.exclusion_zone = Some(m / 2);
+            let kahan = mode.compensated_precalc();
+            macro_rules! run {
+                ($p:ty, $m:ty) => {{
+                    let pre = compute_tile_precalc::<$p>(&r, &q, &tile, &cfg, kahan);
+                    let mut bufs = PlaneBuffers::<$m>::new();
+                    let fused =
+                        execute_tile_from_precalc_pooled(&pre, &tile, &cfg, kahan, true, &mut bufs);
+                    assert_eq!(bufs.plane_elems(), 4 * tile.cols * 3, "{mode}: fused shape");
+                    let oracle =
+                        execute_tile_three_kernel_oracle::<$m>(&pre, &tile, &cfg, kahan, true);
+                    (fused, oracle)
+                }};
+            }
+            let (fused, oracle) = mdmp_precision::dispatch_mode!(mode, run);
+            assert_eq!(fused.profile, oracle.profile, "{mode}: profile");
+            assert_eq!(fused.kernel_costs, oracle.kernel_costs, "{mode}: costs");
+        }
     }
 }

@@ -19,9 +19,6 @@ pub enum KernelClass {
     SortScan,
     /// `update_mat_prof` — min/argmin merge into the running profile.
     UpdateProfile,
-    /// The fused per-row pass: `dist_calc + sort_&_incl_scan +
-    /// update_mat_prof` as one launch with grid-wide syncs between phases.
-    FusedRow,
     /// Host→device or device→host transfer.
     Transfer,
     /// CPU-side merge of tile results (Pseudocode 2, line 7).
@@ -30,12 +27,11 @@ pub enum KernelClass {
 
 impl KernelClass {
     /// All classes in the paper's breakdown order.
-    pub const ALL: [KernelClass; 7] = [
+    pub const ALL: [KernelClass; 6] = [
         KernelClass::Precalc,
         KernelClass::DistCalc,
         KernelClass::SortScan,
         KernelClass::UpdateProfile,
-        KernelClass::FusedRow,
         KernelClass::Transfer,
         KernelClass::Merge,
     ];
@@ -47,7 +43,6 @@ impl KernelClass {
             KernelClass::DistCalc => "dist_calc",
             KernelClass::SortScan => "sort_&_incl_scan",
             KernelClass::UpdateProfile => "update_mat_prof",
-            KernelClass::FusedRow => "fused_row",
             KernelClass::Transfer => "transfer",
             KernelClass::Merge => "merge",
         }
@@ -126,39 +121,6 @@ impl KernelCost {
         self.launches += other.launches;
         self.barriers += other.barriers;
         self.frag_bytes += other.frag_bytes;
-    }
-
-    /// Fuse several kernel launches into a single [`KernelClass::FusedRow`]
-    /// launch: all extensive device-side work (traffic, FLOPs, shared-memory
-    /// ops) is preserved, the launches of the component kernels collapse to
-    /// **one**, and each eliminated launch boundary becomes a grid-wide
-    /// barrier (a fused kernel still has to synchronize between its phases —
-    /// a cooperative grid sync — so fusion trades launch overhead for
-    /// barrier overhead rather than deleting the synchronization outright).
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty or mixes formats.
-    pub fn fuse(parts: &[KernelCost]) -> KernelCost {
-        let first = parts.first().expect("fuse requires at least one part");
-        let mut fused = KernelCost::new(KernelClass::FusedRow, first.format);
-        fused.launches = 1;
-        fused.tc = first.tc;
-        for part in parts {
-            assert_eq!(
-                part.format, first.format,
-                "cannot fuse costs across formats"
-            );
-            assert_eq!(part.tc, first.tc, "cannot fuse tensor-core and vector");
-            fused.bytes_read += part.bytes_read;
-            fused.bytes_written += part.bytes_written;
-            fused.flops += part.flops;
-            fused.smem_ops += part.smem_ops;
-            fused.barriers += part.barriers;
-            fused.frag_bytes += part.frag_bytes;
-        }
-        // One grid sync per eliminated launch boundary.
-        fused.barriers += (parts.len() as u64).saturating_sub(1);
-        fused
     }
 
     /// Scale every extensive quantity by an integer factor — used to fold
@@ -310,32 +272,6 @@ mod tests {
     fn merge_rejects_class_mismatch() {
         let mut a = sample(KernelClass::DistCalc);
         a.merge(&sample(KernelClass::SortScan));
-    }
-
-    #[test]
-    fn fuse_preserves_work_and_collapses_launches() {
-        let parts = [
-            sample(KernelClass::DistCalc),
-            sample(KernelClass::SortScan),
-            sample(KernelClass::UpdateProfile),
-        ];
-        let fused = KernelCost::fuse(&parts);
-        assert_eq!(fused.class, KernelClass::FusedRow);
-        assert_eq!(fused.bytes(), 3 * 150);
-        assert_eq!(fused.flops, 30);
-        assert_eq!(fused.smem_ops, 15);
-        assert_eq!(fused.launches, 1, "one launch instead of three");
-        // Component barriers survive, plus one grid sync per eliminated
-        // launch boundary.
-        assert_eq!(fused.barriers, 3 * 2 + 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "across formats")]
-    fn fuse_rejects_format_mismatch() {
-        let mut b = sample(KernelClass::SortScan);
-        b.format = Format::Fp16;
-        KernelCost::fuse(&[sample(KernelClass::DistCalc), b]);
     }
 
     #[test]

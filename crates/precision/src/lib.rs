@@ -27,9 +27,6 @@
 //! * [`analysis`] — the `e ∝ n·ε` dot-product error-bound model (§V-B of the
 //!   paper, after Yang et al.) used to reason about tile sizes.
 //!
-//! Extension beyond the paper: [`stochastic`] — stochastic rounding with
-//! unbiased accumulation.
-//!
 //! ## Example
 //!
 //! ```
@@ -52,10 +49,8 @@ mod mode;
 #[cfg(test)]
 mod oracle;
 mod real;
-pub mod stochastic;
 
 pub use flex::{Bf16, Flex, FlexBits, Fp8E4M3, Fp8E5M2, Half, Tf32};
 pub use kahan::{kahan_dot, kahan_sum, plain_dot, KahanSum};
 pub use mode::{Format, PrecisionMode};
 pub use real::{convert_slice, widen_slice, Real};
-pub use stochastic::{round_stochastic, SrRng, StochasticSum};

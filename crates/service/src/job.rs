@@ -109,8 +109,9 @@ pub struct JobSpec {
     /// Per-tile retry budget inside a run (see
     /// [`MdmpConfig::with_tile_retries`]).
     pub tile_retries: u32,
-    /// Force the fused row pipeline on or off for this job; `None` uses
-    /// the auto default (env `MDMP_FUSED_ROWS`, else on).
+    /// Ignored; delete with the next benchmark revision. The row pipeline
+    /// follows the precision mode, and nothing reads this field — it stays
+    /// only because the frozen benchmark builds `JobSpec` literals.
     pub fused_rows: Option<bool>,
     /// MMA accumulator chunk width for the tensor-core modes (4, 8 or 16);
     /// `None` uses the auto default (env `MDMP_TC_CHUNK_K`, else the input
@@ -155,7 +156,6 @@ impl JobSpec {
             .with_tiles(self.tiles)
             .with_fault_plan(self.fault_plan.clone())
             .with_tile_retries(self.tile_retries)
-            .with_fused_rows(self.fused_rows)
             .with_tc_chunk_k(self.tc_chunk_k)
             .with_tile_deadline(self.tile_deadline_ms.map(Duration::from_millis))
     }

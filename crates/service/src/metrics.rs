@@ -252,12 +252,6 @@ pub struct MetricsRegistry {
     /// Tile attempts that failed and were retried inside runs (fault
     /// injection or genuine kernel failures).
     pub tile_retries: Counter,
-    /// Whether the most recent run used the fused per-row pipeline (1) or
-    /// the three-kernel pipeline (0).
-    pub fused_rows_enabled: Gauge,
-    /// Host dispatches eliminated by the fused row pipeline, accumulated
-    /// over all runs (two per reference row when fusion is on).
-    pub eliminated_dispatches: Counter,
     /// MMA accumulator chunk width of the most recent run (0 when the run
     /// used a vector mode instead of the simulated tensor cores).
     pub tc_chunk_k: Gauge,
@@ -359,7 +353,7 @@ impl MetricsRegistry {
     /// Render the Prometheus-style text exposition page.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &Counter); 28] = [
+        let counters: [(&str, &Counter); 27] = [
             ("mdmp_jobs_submitted_total", &self.jobs_submitted),
             ("mdmp_jobs_rejected_total", &self.jobs_rejected),
             ("mdmp_jobs_completed_total", &self.jobs_completed),
@@ -376,10 +370,6 @@ impl MetricsRegistry {
             ("mdmp_buffer_pool_reuses_total", &self.buffer_pool_reuses),
             ("mdmp_buffer_pool_allocs_total", &self.buffer_pool_allocs),
             ("mdmp_tile_retries_total", &self.tile_retries),
-            (
-                "mdmp_eliminated_dispatches_total",
-                &self.eliminated_dispatches,
-            ),
             ("mdmp_pool_thread_reuses_total", &self.pool_thread_reuses),
             (
                 "mdmp_plane_validation_failures_total",
@@ -416,13 +406,12 @@ impl MetricsRegistry {
         for (name, c) in counters {
             out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.get()));
         }
-        let gauges: [(&str, &Gauge); 9] = [
+        let gauges: [(&str, &Gauge); 8] = [
             ("mdmp_queue_depth", &self.queue_depth),
             ("mdmp_jobs_running", &self.jobs_running),
             ("mdmp_devices_leased", &self.devices_leased),
             ("mdmp_precalc_cache_bytes", &self.cache_bytes),
             ("mdmp_host_workers", &self.host_workers),
-            ("mdmp_fused_rows_enabled", &self.fused_rows_enabled),
             ("mdmp_tc_chunk_k", &self.tc_chunk_k),
             ("mdmp_stream_sessions_open", &self.stream_sessions_open),
             ("mdmp_wire_binary_sessions", &self.wire_binary_sessions),
@@ -476,8 +465,6 @@ impl MetricsRegistry {
             buffer_pool_reuses: self.buffer_pool_reuses.get(),
             buffer_pool_allocs: self.buffer_pool_allocs.get(),
             tile_retries: self.tile_retries.get(),
-            fused_rows_enabled: self.fused_rows_enabled.get() != 0,
-            eliminated_dispatches: self.eliminated_dispatches.get(),
             tc_chunk_k: self.tc_chunk_k.get().max(0) as u64,
             pool_thread_reuses: self.pool_thread_reuses.get(),
             plane_validation_failures: self.plane_validation_failures.get(),
@@ -552,10 +539,6 @@ pub struct ServiceStats {
     pub buffer_pool_allocs: u64,
     /// Tile attempts retried inside runs.
     pub tile_retries: u64,
-    /// Whether the most recent run used the fused per-row pipeline.
-    pub fused_rows_enabled: bool,
-    /// Host dispatches eliminated by the fused row pipeline across runs.
-    pub eliminated_dispatches: u64,
     /// MMA accumulator chunk width of the most recent run (0 = vector
     /// mode).
     pub tc_chunk_k: u64,

@@ -520,14 +520,8 @@ impl Service {
                         .add(run.quarantined_devices.len() as u64);
                     self.metrics.host_workers.set(run.host_workers as i64);
                     self.metrics
-                        .fused_rows_enabled
-                        .set(i64::from(run.fused_rows));
-                    self.metrics
                         .tc_chunk_k
                         .set(run.tc_chunk_k.unwrap_or(0) as i64);
-                    self.metrics
-                        .eliminated_dispatches
-                        .add(run.eliminated_dispatches);
                     self.metrics.pool_thread_reuses.add(run.pool_thread_reuses);
                     self.metrics.buffer_pool_reuses.add(run.buffer_pool_reuses);
                     self.metrics.buffer_pool_allocs.add(run.buffer_pool_allocs);

@@ -38,7 +38,7 @@ use crate::job::{JobInput, JobOutcome, JobSpec, JobStatus, Priority};
 use crate::proto::Json;
 use crate::scheduler::Service;
 use crate::session::{AppendSide, SessionSummary};
-use crate::wire::{Chunk, FrameCodec, Message, WireError, WIRE_VERSION};
+use crate::wire::{Chunk, FrameCodec, Message, WireError, MAX_FRAME_BYTES, WIRE_VERSION};
 use mdmp_core::MdmpConfig;
 use mdmp_data::MultiDimSeries;
 use mdmp_faults::FaultPlan;
@@ -169,12 +169,20 @@ fn handle_connection(
     let _ = stream.set_nodelay(true);
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(());
-        }
+        let line = match read_request_line(&mut reader, &mut buf, MAX_FRAME_BYTES)? {
+            RequestLine::Eof => return Ok(()),
+            RequestLine::TooLong => {
+                // The rest of the line is still in flight; there is no
+                // request boundary left to resynchronize on.
+                let response = error_response(&format!(
+                    "request line exceeds the {MAX_FRAME_BYTES}-byte cap"
+                ));
+                return write_json_line(service, &mut writer, &response, "invalid");
+            }
+            RequestLine::Line(line) => line,
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -232,6 +240,39 @@ fn handle_connection(
         }
         written?;
     }
+}
+
+/// One JSON request line, as read by [`read_request_line`].
+#[derive(Debug, PartialEq)]
+enum RequestLine<'a> {
+    /// The client closed the connection.
+    Eof,
+    /// A complete line (newline included, if the stream had one).
+    Line(&'a str),
+    /// More than `cap` bytes arrived before a newline.
+    TooLong,
+}
+
+/// Read one request line of at most `cap` bytes, newline included, into
+/// `buf`. The read goes through `take(cap + 1)`, so a newline-free stream
+/// buffers at most `cap + 1` bytes before it is rejected — the JSON-lines
+/// counterpart of the binary frame cap.
+fn read_request_line(
+    reader: impl BufRead,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> io::Result<RequestLine<'_>> {
+    buf.clear();
+    let n = reader.take(cap as u64 + 1).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(RequestLine::Eof);
+    }
+    if n > cap {
+        return Ok(RequestLine::TooLong);
+    }
+    std::str::from_utf8(buf)
+        .map(RequestLine::Line)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 fn write_json_line(
@@ -522,7 +563,7 @@ pub fn parse_job_spec(job: &Json) -> Result<JobSpec, String> {
         max_retries: job.get("max_retries").and_then(Json::as_u64).unwrap_or(0) as u32,
         fault_plan,
         tile_retries: job.get("tile_retries").and_then(Json::as_u64).unwrap_or(2) as u32,
-        fused_rows: job.get("fused_rows").and_then(Json::as_bool),
+        fused_rows: None,
         tc_chunk_k: job
             .get("tc_chunk_k")
             .and_then(Json::as_u64)
@@ -618,14 +659,6 @@ fn stats_json(service: &Service) -> Json {
             Json::num(s.precalc_single_flight_waits as f64),
         ),
         ("host_workers", Json::num(s.host_workers as f64)),
-        (
-            "fused_rows_enabled",
-            Json::num(f64::from(u8::from(s.fused_rows_enabled))),
-        ),
-        (
-            "eliminated_dispatches",
-            Json::num(s.eliminated_dispatches as f64),
-        ),
         ("tc_chunk_k", Json::num(s.tc_chunk_k as f64)),
         ("pool_thread_reuses", Json::num(s.pool_thread_reuses as f64)),
         ("buffer_pool_reuses", Json::num(s.buffer_pool_reuses as f64)),
@@ -1117,6 +1150,35 @@ pub fn request(addr: &str, request: &Json) -> io::Result<Json> {
 mod tests {
     use super::*;
     use crate::scheduler::ServiceConfig;
+
+    #[test]
+    fn request_lines_are_bounded() {
+        let cap = 16;
+        let mut buf = Vec::new();
+        // Exactly `cap` bytes, newline included: accepted, and the next
+        // line is read from where it ended.
+        let exact = format!("{}\n{{}}\n", "x".repeat(cap - 1));
+        let mut reader = exact.as_bytes();
+        let first = read_request_line(&mut reader, &mut buf, cap).unwrap();
+        assert_eq!(first, RequestLine::Line(&exact[..cap]));
+        let second = read_request_line(&mut reader, &mut buf, cap).unwrap();
+        assert_eq!(second, RequestLine::Line("{}\n"));
+        let end = read_request_line(&mut reader, &mut buf, cap).unwrap();
+        assert_eq!(end, RequestLine::Eof);
+        // One byte over the cap: rejected.
+        let over = format!("{}\n", "x".repeat(cap));
+        let mut reader = over.as_bytes();
+        let got = read_request_line(&mut reader, &mut buf, cap).unwrap();
+        assert_eq!(got, RequestLine::TooLong);
+        // A newline-free stream is rejected after buffering `cap + 1`
+        // bytes, not read to the end.
+        let endless = vec![b'x'; 64 * cap];
+        let mut reader = endless.as_slice();
+        let got = read_request_line(&mut reader, &mut buf, cap).unwrap();
+        assert_eq!(got, RequestLine::TooLong);
+        assert_eq!(buf.len(), cap + 1);
+        assert_eq!(reader.len(), 64 * cap - cap - 1);
+    }
 
     fn wave(offset: usize, n: usize) -> Vec<f64> {
         (0..n)
