@@ -119,6 +119,12 @@ fn split_plane_chunks<V>(plane: &mut [V], n_q: usize, cols_per: usize) -> Vec<Ve
     parts
 }
 
+/// The column-chunk width [`fused_row`] splits an `n_q`-column row into:
+/// one contiguous chunk per worker of the current pool width.
+pub fn column_chunk_width(n_q: usize) -> usize {
+    n_q.div_ceil(rayon::current_num_threads().max(1))
+}
+
 /// Execute one fused row pass.
 ///
 /// * `qt_row0` / `qt_col0` — precalculated initial QT (dimension-major,
@@ -128,7 +134,10 @@ fn split_plane_chunks<V>(plane: &mut [V], n_q: usize, cols_per: usize) -> Vec<Ve
 /// * `p_plane` / `i_plane` — running profile and index planes, `k`-major;
 /// * `schedule` / `divisors` — per-`d_pad` comparator schedule and
 ///   per-`d` divisor table (hoisted out by the caller, once per tile);
-/// * `global_row` — the global reference-segment index of row `i`.
+/// * `global_row` — the global reference-segment index of row `i`;
+/// * `cols_per` — the column-chunk width, one pool batch per chunk
+///   ([`column_chunk_width`], read by the caller once per tile so the row
+///   loop never queries the pool width).
 ///
 /// The per-column fibers live in a small per-worker scratch block, not a
 /// plane: fusion eliminates both the unfused `dist` and `scanned` planes.
@@ -147,6 +156,7 @@ pub fn fused_row<T: Real>(
     schedule: &[Comparator],
     divisors: &[T],
     global_row: i64,
+    cols_per: usize,
 ) {
     let n_r = rstats.n;
     let n_q = qstats.n;
@@ -168,7 +178,6 @@ pub fn fused_row<T: Real>(
     // One contiguous column chunk per worker — the whole row is a single
     // dispatch regardless of worker count, and chunk boundaries cannot
     // affect results (columns are independent).
-    let cols_per = n_q.div_ceil(rayon::current_num_threads().max(1));
     let qn_parts = split_plane_chunks(qt_next, n_q, cols_per);
     let pc_parts = split_plane_chunks(p_plane, n_q, cols_per);
     let ic_parts = split_plane_chunks(i_plane, n_q, cols_per);
@@ -436,6 +445,7 @@ mod tests {
                 &schedule,
                 &divisors,
                 i as i64,
+                column_chunk_width(n_q),
             );
             std::mem::swap(&mut f_qt_prev, &mut f_qt_next);
 

@@ -14,8 +14,8 @@
 
 use crate::config::MdmpConfig;
 use crate::kernels::{
-    self, comparator_schedule, dist_cost, fused_row, gemm_cost, gemm_row, scan_divisors,
-    sort_scan_cost, sort_scan_row, update_cost, update_profile_row, DistParams,
+    self, column_chunk_width, comparator_schedule, dist_cost, fused_row, gemm_cost, gemm_row,
+    scan_divisors, sort_scan_cost, sort_scan_row, update_cost, update_profile_row, DistParams,
 };
 use crate::precalc::{compute_stats, convert_qt, initial_qt, SeriesDevice, Stats};
 use crate::profile::MatrixProfile;
@@ -290,6 +290,7 @@ pub fn execute_tile_from_precalc_pooled<M: Real>(
         // inside `fused_row`.
         let schedule = comparator_schedule(d_pad);
         let divisors = scan_divisors::<M>(d);
+        let cols_per = column_chunk_width(n_q);
         for i in 0..n_r {
             fused_row(
                 i,
@@ -305,6 +306,7 @@ pub fn execute_tile_from_precalc_pooled<M: Real>(
                 &schedule,
                 &divisors,
                 (tile.row0 + i) as i64,
+                cols_per,
             );
             std::mem::swap(qt_prev, qt_next);
         }
