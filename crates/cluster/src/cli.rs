@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Boolean flags (no value token follows them).
-const FLAGS: [&str; 3] = ["no-speculate", "metrics", "help"];
+const FLAGS: [&str; 2] = ["metrics", "help"];
 
 /// Minimal `--key value` / `--flag` parser for the cluster subcommands.
 struct Args {
@@ -28,7 +28,7 @@ impl Args {
     fn parse(raw: &[String]) -> Result<Args, String> {
         let mut values = BTreeMap::new();
         let mut flags = BTreeSet::new();
-        let mut it = raw.iter();
+        let mut it = raw.iter().peekable();
         while let Some(token) = it.next() {
             let name = token
                 .strip_prefix("--")
@@ -37,7 +37,15 @@ impl Args {
                 flags.insert(name.to_string());
                 continue;
             }
-            let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
+            // No value follows: a value option missing its value, or a
+            // flag this parser does not know.
+            let value = it.next_if(|v| !v.starts_with("--")).ok_or_else(|| {
+                if usage().contains(&format!("--{name} ")) {
+                    format!("--{name} needs a value")
+                } else {
+                    format!("unknown option --{name}")
+                }
+            })?;
             values.insert(name.to_string(), value.clone());
         }
         Ok(Args {
@@ -122,7 +130,7 @@ pub fn usage() -> &'static str {
           --n N (4096) --d N (1) --pattern N (0) --noise X (0.3) --seed N (42)
           --reference FILE [--query FILE]   (CSV instead of synthetic)
           --tile-retries N (2) --tile-timeout-ms MS --fault-plan SPEC
-          --quarantine-threshold N (3) --timeout-s S (60) --no-speculate
+          --quarantine-threshold N (3) --timeout-s S (60)
           --cluster-faults SPEC (nodedrop@N:S,nodekill@N:S,…) --metrics
           --wire auto|json (auto; env MDMP_WIRE=json forces JSON lines)"
 }
@@ -276,7 +284,6 @@ fn submit(args: &Args) -> Result<(), String> {
     let mut cluster = ClusterConfig::new(nodes);
     cluster.quarantine_threshold = args.get_or("quarantine-threshold", 3)?;
     cluster.request_timeout = Duration::from_secs_f64(args.get_or("timeout-s", 60.0)?);
-    cluster.speculate = !args.flag("no-speculate");
     if let Some(plan) = args.get_opt::<String>("cluster-faults")? {
         cluster.fault_plan = plan
             .parse::<ClusterFaultPlan>()
@@ -355,6 +362,20 @@ mod tests {
         assert!(args.reject_unknown().is_err());
         assert!(Args::parse(&raw(&["positional"])).is_err());
         assert!(Args::parse(&raw(&["--m"])).is_err());
+    }
+
+    #[test]
+    fn no_speculate_is_an_unknown_option() {
+        for line in [
+            "submit --nodes 127.0.0.1:1 --m 8 --no-speculate",
+            "submit --no-speculate --nodes 127.0.0.1:1 --m 8",
+        ] {
+            let args: Vec<&str> = line.split(' ').collect();
+            let err = run(&raw(&args)).unwrap_err();
+            assert_eq!(err, "unknown option --no-speculate", "{line}");
+        }
+        let err = run(&raw(&["submit", "--nodes", "127.0.0.1:1", "--m"])).unwrap_err();
+        assert_eq!(err, "--m needs a value");
     }
 
     #[test]

@@ -12,13 +12,18 @@
 //! re-dispatched to survivors, and its unclaimed shard drained into the
 //! re-dispatch queue.
 //!
+//! A fault-free run executes every tile exactly once: `run_cluster`
+//! joins every in-flight request before it returns, so a second copy of
+//! a slow tile could never shorten a run, and none is leased.
+//!
 //! **Determinism argument.** Remote tiles are computed by
 //! [`mdmp_core::run_tile_subset`] over the job's *global* tiling, so a
 //! tile's planes are bit-identical wherever it runs; planes cross the
-//! wire as `f64` bit patterns, so transport is exact; and the reorder
+//! wire as exact bit patterns (binary frames narrow a plane only when
+//! every value round-trips), so transport is exact; and the reorder
 //! buffer merges tiles strictly in ascending tile index, exactly once
-//! (first delivery wins, duplicates dropped), which is the single-node
-//! driver's merge order. Schedules, steals, duplicates and re-dispatches
+//! (first delivery wins, a late duplicate is dropped), which is the
+//! single-node driver's merge order. Schedules, steals and re-dispatches
 //! therefore cannot change a single output bit (DESIGN.md §12).
 
 use crate::client::{tile_exec_request, DecodedTile, NodeClient};
@@ -43,9 +48,6 @@ pub struct ClusterConfig {
     /// Reply deadline per tile request; an overrun counts as a node
     /// failure.
     pub request_timeout: Duration,
-    /// Whether a drained node may speculatively duplicate-lease in-flight
-    /// tiles of stragglers (first result wins; duplicates are dropped).
-    pub speculate: bool,
     /// Injected cluster-scope faults (tests and chaos benches).
     pub fault_plan: ClusterFaultPlan,
     /// Wire transport preference for node connections: negotiate the
@@ -60,7 +62,6 @@ impl ClusterConfig {
             nodes,
             quarantine_threshold: 3,
             request_timeout: Duration::from_secs(60),
-            speculate: true,
             fault_plan: ClusterFaultPlan::new(),
             wire: wire_preference(),
         }
@@ -451,7 +452,6 @@ struct Shared {
     health: DeviceHealth,
     job: Json,
     plan: ClusterFaultPlan,
-    speculate: bool,
     threshold: u32,
     timeout: Duration,
     wire: WirePreference,
@@ -486,7 +486,6 @@ pub fn run_cluster(spec: &JobSpec, cluster: &ClusterConfig) -> Result<ClusterRun
         health: DeviceHealth::new(n_nodes, cluster.quarantine_threshold.max(1)),
         job,
         plan: cluster.fault_plan.clone(),
-        speculate: cluster.speculate,
         threshold: cluster.quarantine_threshold.max(1),
         timeout: cluster.request_timeout,
         wire: cluster.wire,
@@ -574,9 +573,9 @@ fn node_loop(
             let mut claimed = None;
             let mut table = sync::lock(&shared.table);
             loop {
-                match table.next_for(node, shared.speculate) {
+                match table.next_for(node) {
                     NextLease::Finished => break,
-                    NextLease::Tile { tile, stolen, .. } => {
+                    NextLease::Tile { tile, stolen } => {
                         if stolen {
                             report.tiles_stolen += 1;
                         }

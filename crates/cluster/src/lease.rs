@@ -14,10 +14,13 @@
 //!    because they are the oldest unfinished work;
 //! 2. the node's own shard, front to back;
 //! 3. **steal** from the longest remaining shard, back to front, so the
-//!    victim's locality at its front is preserved;
-//! 4. with speculation on, **duplicate-lease** the smallest in-flight tile
-//!    held only by other nodes — straggler insurance; the merge keeps the
-//!    first result and drops the rest.
+//!    victim's locality at its front is preserved.
+//!
+//! Otherwise the node waits: an in-flight tile is never leased twice,
+//! since `run_cluster` joins every in-flight request anyway and a
+//! duplicate would only occupy a device and delay that join. `complete`
+//! still keeps only the first delivery of a tile, because the original
+//! holder of a re-dispatched tile may yet answer late.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -30,8 +33,6 @@ pub enum NextLease {
         tile: usize,
         /// Whether the tile was stolen from another node's shard.
         stolen: bool,
-        /// Whether this is a speculative duplicate of an in-flight lease.
-        duplicate: bool,
     },
     /// Nothing claimable right now, but leases are in flight — wait for a
     /// completion or a re-dispatch.
@@ -45,8 +46,8 @@ pub enum NextLease {
 pub enum Completion {
     /// First result for the tile: merge it.
     Merged,
-    /// A duplicate (speculation race or a re-dispatched tile whose
-    /// original holder answered after all): drop it.
+    /// A duplicate (a re-dispatched tile whose original holder answered
+    /// after all): drop it.
     Duplicate,
 }
 
@@ -55,7 +56,8 @@ pub enum Completion {
 pub struct LeaseTable {
     shards: Vec<VecDeque<usize>>,
     requeue: VecDeque<usize>,
-    leased: BTreeMap<usize, BTreeSet<usize>>,
+    /// tile -> the node holding its lease.
+    leased: BTreeMap<usize, usize>,
     done: BTreeSet<usize>,
     total: usize,
     steals: u64,
@@ -90,8 +92,8 @@ impl LeaseTable {
     }
 
     /// Claim the next tile for `node` (see the module docs for the
-    /// policy). `speculate` enables duplicate leases of in-flight tiles.
-    pub fn next_for(&mut self, node: usize, speculate: bool) -> NextLease {
+    /// policy).
+    pub fn next_for(&mut self, node: usize) -> NextLease {
         if self.done.len() == self.total {
             return NextLease::Finished;
         }
@@ -100,7 +102,6 @@ impl LeaseTable {
             return NextLease::Tile {
                 tile,
                 stolen: false,
-                duplicate: false,
             };
         }
         if let Some(tile) = self.shards[node].pop_front() {
@@ -108,7 +109,6 @@ impl LeaseTable {
             return NextLease::Tile {
                 tile,
                 stolen: false,
-                duplicate: false,
             };
         }
         // Steal from the longest remaining shard (ties: lowest node index,
@@ -120,49 +120,26 @@ impl LeaseTable {
             if let Some(tile) = self.shards[victim].pop_back() {
                 self.steals += 1;
                 self.lease(node, tile);
-                return NextLease::Tile {
-                    tile,
-                    stolen: true,
-                    duplicate: false,
-                };
-            }
-        }
-        if speculate {
-            let candidate = self
-                .leased
-                .iter()
-                .find(|(tile, holders)| !holders.contains(&node) && !self.done.contains(tile))
-                .map(|(&tile, _)| tile);
-            if let Some(tile) = candidate {
-                self.lease(node, tile);
-                return NextLease::Tile {
-                    tile,
-                    stolen: false,
-                    duplicate: true,
-                };
+                return NextLease::Tile { tile, stolen: true };
             }
         }
         NextLease::Wait
     }
 
     fn lease(&mut self, node: usize, tile: usize) {
-        self.leased.entry(tile).or_default().insert(node);
+        self.leased.insert(tile, node);
     }
 
-    /// Record that `node` delivered `tile`. The first delivery wins; later
-    /// ones (speculation races, re-dispatch races) are reported as
-    /// duplicates for the caller to drop.
+    /// Record that `node` delivered `tile`. The first delivery wins and
+    /// retires the tile's lease; a later one (the original holder of a
+    /// re-dispatched tile answering late) is reported as a duplicate for
+    /// the caller to drop.
     pub fn complete(&mut self, node: usize, tile: usize) -> Completion {
-        if let Some(holders) = self.leased.get_mut(&tile) {
-            holders.remove(&node);
-            if holders.is_empty() {
-                self.leased.remove(&tile);
-            }
-        }
-        if self.done.insert(tile) {
-            // First result: retire every outstanding lease on the tile so
-            // speculation stops targeting it.
+        let first = self.done.insert(tile);
+        if first || self.leased.get(&tile) == Some(&node) {
             self.leased.remove(&tile);
+        }
+        if first {
             Completion::Merged
         } else {
             self.duplicates_dropped += 1;
@@ -170,21 +147,16 @@ impl LeaseTable {
         }
     }
 
-    /// Record that `node`'s attempt at `tile` failed. The lease is
-    /// released; if no other node holds one and the tile is not merged, it
-    /// is queued for re-dispatch.
+    /// Record that `node`'s attempt at `tile` failed. If `node` holds the
+    /// tile's lease and the tile is not merged, the lease is released and
+    /// the tile queued for re-dispatch.
     pub fn fail(&mut self, node: usize, tile: usize) {
-        let mut orphaned = false;
-        if let Some(holders) = self.leased.get_mut(&tile) {
-            holders.remove(&node);
-            if holders.is_empty() {
-                self.leased.remove(&tile);
-                orphaned = true;
+        if self.leased.get(&tile) == Some(&node) {
+            self.leased.remove(&tile);
+            if !self.done.contains(&tile) {
+                self.requeue.push_back(tile);
+                self.redispatches += 1;
             }
-        }
-        if orphaned && !self.done.contains(&tile) {
-            self.requeue.push_back(tile);
-            self.redispatches += 1;
         }
     }
 
@@ -195,7 +167,7 @@ impl LeaseTable {
         let held: Vec<usize> = self
             .leased
             .iter()
-            .filter(|(_, holders)| holders.contains(&node))
+            .filter(|&(_, &holder)| holder == node)
             .map(|(&tile, _)| tile)
             .collect();
         for tile in held {
@@ -241,19 +213,17 @@ mod tests {
         let mut table = LeaseTable::new(8, 3);
         // Shards: [0,1,2], [3,4,5], [6,7].
         assert_eq!(
-            table.next_for(0, false),
+            table.next_for(0),
             NextLease::Tile {
                 tile: 0,
-                stolen: false,
-                duplicate: false
+                stolen: false
             }
         );
         assert_eq!(
-            table.next_for(2, false),
+            table.next_for(2),
             NextLease::Tile {
                 tile: 6,
-                stolen: false,
-                duplicate: false
+                stolen: false
             }
         );
     }
@@ -263,7 +233,7 @@ mod tests {
         let mut table = LeaseTable::new(6, 2);
         // Node 0 drains its shard [0,1,2].
         for expect in 0..3 {
-            match table.next_for(0, false) {
+            match table.next_for(0) {
                 NextLease::Tile { tile, stolen, .. } => {
                     assert_eq!(tile, expect);
                     assert!(!stolen);
@@ -273,7 +243,7 @@ mod tests {
             }
         }
         // Node 1 untouched: node 0 now steals from the back of [3,4,5].
-        match table.next_for(0, false) {
+        match table.next_for(0) {
             NextLease::Tile { tile, stolen, .. } => {
                 assert_eq!(tile, 5);
                 assert!(stolen);
@@ -286,30 +256,39 @@ mod tests {
     #[test]
     fn first_completion_wins_duplicates_dropped() {
         let mut table = LeaseTable::new(2, 2);
-        let NextLease::Tile { tile, .. } = table.next_for(0, false) else {
+        let NextLease::Tile { tile, .. } = table.next_for(0) else {
             panic!("no tile");
         };
-        // Node 1 drains its own shard, then speculative-leases node 0's
-        // in-flight tile.
-        let NextLease::Tile { tile: own, .. } = table.next_for(1, true) else {
+        let NextLease::Tile { tile: own, .. } = table.next_for(1) else {
             panic!("no tile");
         };
-        table.complete(1, own);
-        let NextLease::Tile { duplicate, .. } = table.next_for(1, true) else {
-            panic!("no speculative tile");
-        };
-        assert!(duplicate);
+        assert_eq!(table.complete(1, own), Completion::Merged);
+        // Node 1 has drained its shard; node 0's in-flight tile is not
+        // leased a second time.
+        assert_eq!(table.next_for(1), NextLease::Wait);
+        // Node 0's request fails, so node 1 takes the tile from the
+        // re-dispatch queue and delivers it first.
+        table.fail(0, tile);
+        assert_eq!(table.redispatches(), 1);
+        assert_eq!(
+            table.next_for(1),
+            NextLease::Tile {
+                tile,
+                stolen: false
+            }
+        );
         assert_eq!(table.complete(1, tile), Completion::Merged);
+        // Node 0's late answer for the same tile is dropped.
         assert_eq!(table.complete(0, tile), Completion::Duplicate);
         assert_eq!(table.duplicates_dropped(), 1);
         assert_eq!(table.merged(), 2);
-        assert_eq!(table.next_for(0, true), NextLease::Finished);
+        assert_eq!(table.next_for(0), NextLease::Finished);
     }
 
     #[test]
     fn failed_lease_is_redispatched_and_quarantine_drains_the_shard() {
         let mut table = LeaseTable::new(4, 2);
-        let NextLease::Tile { tile, .. } = table.next_for(1, false) else {
+        let NextLease::Tile { tile, .. } = table.next_for(1) else {
             panic!("no tile");
         };
         assert_eq!(tile, 2);
@@ -320,7 +299,7 @@ mod tests {
         // then the quarantined node's drained shard), then its own shard.
         let mut order = Vec::new();
         loop {
-            match table.next_for(0, false) {
+            match table.next_for(0) {
                 NextLease::Tile { tile, .. } => {
                     order.push(tile);
                     table.complete(0, tile);
@@ -335,11 +314,11 @@ mod tests {
     #[test]
     fn wait_only_while_leases_are_in_flight() {
         let mut table = LeaseTable::new(1, 2);
-        let NextLease::Tile { tile, .. } = table.next_for(0, false) else {
+        let NextLease::Tile { tile, .. } = table.next_for(0) else {
             panic!("no tile");
         };
-        assert_eq!(table.next_for(1, false), NextLease::Wait);
+        assert_eq!(table.next_for(1), NextLease::Wait);
         table.complete(0, tile);
-        assert_eq!(table.next_for(1, false), NextLease::Finished);
+        assert_eq!(table.next_for(1), NextLease::Finished);
     }
 }

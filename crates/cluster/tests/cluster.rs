@@ -118,6 +118,24 @@ fn three_node_cluster_is_bit_identical_in_all_modes() {
     }
 }
 
+/// Regression guard for one holder per lease: a fault-free 2-node run
+/// executes each of its 8 tiles exactly once — no node repeats a tile
+/// another node holds — and still matches the single-node run bit for bit.
+#[test]
+fn fault_free_two_node_run_executes_every_tile_once() {
+    let (_servers, addrs) = start_nodes(2);
+    let spec = spec("fp32");
+    let local = single_node_profile(&spec);
+    let run = run_cluster(&spec, &cluster_config(&addrs)).expect("cluster run");
+    assert_eq!(run.tiles_total, 8);
+    assert_eq!(run.duplicates_dropped, 0);
+    let executed: u64 = run.nodes.iter().map(|n| n.tiles_executed).sum();
+    let merged: u64 = run.nodes.iter().map(|n| n.tiles_merged).sum();
+    assert_eq!(executed as usize, run.tiles_total);
+    assert_eq!(merged as usize, run.tiles_total);
+    assert_bit_identical(&run.profile, &local, "fp32 on 2 nodes");
+}
+
 /// Node loss mid-job: node 1 is killed on its second request; its leased
 /// tile and unclaimed shard are re-dispatched to the survivors, the job
 /// completes, and the output is still bit-identical.

@@ -12,7 +12,7 @@
 //! Checked invariants, across all interleavings:
 //!
 //! - **no tile is merged twice** (`complete` reports `Merged` at most
-//!   once per tile, even with speculative duplicate leases racing);
+//!   once per tile);
 //! - **no lease is lost** when a node fails and is quarantined mid-job —
 //!   even while the survivor is concurrently stealing from the dying
 //!   node's shard — so every tile is merged exactly once;
@@ -30,7 +30,6 @@ struct Model {
     work: Condvar,
     /// tile -> times `complete` reported `Merged` for it.
     merged: Mutex<BTreeMap<usize, usize>>,
-    speculate: bool,
     /// Whether the failure path notifies waiters (true in production; the
     /// negative control turns it off to demonstrate the lost wakeup).
     notify_on_fail: bool,
@@ -47,7 +46,7 @@ fn node_loop(model: &Model, node: usize, fail_first: bool) {
         let tile = {
             let mut table = model.table.lock();
             loop {
-                match table.next_for(node, model.speculate) {
+                match table.next_for(node) {
                     NextLease::Finished => return,
                     NextLease::Tile { tile, .. } => break tile,
                     NextLease::Wait => table = model.work.wait(table),
@@ -82,7 +81,6 @@ fn node_loop(model: &Model, node: usize, fail_first: bool) {
 /// `kill_node_1`. Asserts the exactly-once invariants after both join.
 fn lease_model(
     tiles: usize,
-    speculate: bool,
     kill_node_1: bool,
     notify_on_fail: bool,
 ) -> impl Fn() + Send + Sync + 'static {
@@ -91,7 +89,6 @@ fn lease_model(
             table: Mutex::new(LeaseTable::new(tiles, 2)),
             work: Condvar::new(),
             merged: Mutex::new(BTreeMap::new()),
-            speculate,
             notify_on_fail,
             fail_fired: Mutex::new(false),
         });
@@ -112,12 +109,9 @@ fn lease_model(
         }
         let table = model.table.lock();
         assert_eq!(table.merged(), tiles);
-        // Without speculation a tile has exactly one holder, so a fired
-        // failure always orphans its lease into the re-dispatch queue.
-        // (Under speculation a surviving duplicate holder may make the
-        // re-dispatch unnecessary — the exactly-once checks above still
-        // hold.)
-        if kill_node_1 && !speculate && *model.fail_fired.lock() {
+        // A tile has exactly one holder, so a fired failure always
+        // orphans its lease into the re-dispatch queue.
+        if kill_node_1 && *model.fail_fired.lock() {
             assert!(
                 table.redispatches() >= 1,
                 "the dead node's lease must be re-dispatched"
@@ -128,22 +122,22 @@ fn lease_model(
 
 #[test]
 #[cfg_attr(miri, ignore)]
-fn full_no_tile_merged_twice_under_speculation() {
-    let report = explore(Config::quick(2500), lease_model(3, true, false, true));
+fn full_no_tile_merged_twice() {
+    let report = explore(Config::quick(2500), lease_model(3, false, true));
     assert!(report.schedules > 1000, "explored {}", report.schedules);
 }
 
 #[test]
 #[cfg_attr(miri, ignore)]
 fn full_no_lease_lost_when_node_quarantined_mid_steal() {
-    let report = explore(Config::quick(2500), lease_model(4, false, true, true));
+    let report = explore(Config::quick(2500), lease_model(4, true, true));
     assert!(report.schedules > 1000, "explored {}", report.schedules);
 }
 
 #[test]
 #[cfg_attr(miri, ignore)]
-fn full_quarantine_under_speculation_still_exactly_once() {
-    let report = explore(Config::quick(2500), lease_model(3, true, true, true));
+fn full_quarantine_three_tiles_exactly_once() {
+    let report = explore(Config::quick(2500), lease_model(3, true, true));
     assert!(report.schedules > 1000, "explored {}", report.schedules);
 }
 
@@ -154,11 +148,11 @@ fn full_quarantine_under_speculation_still_exactly_once() {
 #[cfg_attr(miri, ignore)]
 #[should_panic]
 fn full_missing_notify_on_fail_is_caught() {
-    explore(Config::quick(60_000), lease_model(4, false, true, false));
+    explore(Config::quick(60_000), lease_model(4, true, false));
 }
 
 #[test]
 fn smoke_lease_table() {
-    explore(Config::quick(48), lease_model(2, true, false, true));
-    explore(Config::quick(48), lease_model(3, false, true, true));
+    explore(Config::quick(48), lease_model(2, false, true));
+    explore(Config::quick(48), lease_model(3, true, true));
 }
