@@ -103,9 +103,10 @@ pub fn cluster_scaling(quick: bool) -> ExperimentTable {
         ("1", 1usize, ""),
         ("2", 2, ""),
         ("3", 3, ""),
-        // One node killed on its second request: leases re-dispatched,
-        // job completes on the survivors.
-        ("3+kill", 3, "nodekill@2:1"),
+        // One node killed on its first request, the lease `run_cluster`
+        // grants it before any node claims (so the kill always fires):
+        // leases re-dispatched, job completes on the survivors.
+        ("3+kill", 3, "nodekill@2:0"),
     ] {
         let (_servers, addrs) = start_nodes(nodes);
         let run = run_on(&addrs, &spec, faults);

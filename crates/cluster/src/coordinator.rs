@@ -2,7 +2,8 @@
 //! steal from stragglers, survive node loss, and merge bit-identically.
 //!
 //! One thread per node drives the node's persistent connection through
-//! the claim loop of [`crate::lease::LeaseTable`]; completed tiles flow
+//! the claim loop of [`crate::lease::LeaseTable`], starting from the first
+//! lease the table grants it before any node claims; completed tiles flow
 //! over a channel into the in-order [`ReorderMerge`] buffer (the PR2
 //! reorder buffer, lifted to cluster scope). Node failure — connection
 //! drop, read-deadline overrun, repeated tile errors — feeds the
@@ -493,15 +494,23 @@ pub fn run_cluster(spec: &JobSpec, cluster: &ClusterConfig) -> Result<ClusterRun
 
     let (tx, rx) = mpsc::channel::<DecodedTile>();
     let mut handles = Vec::with_capacity(n_nodes);
-    for (node, addr) in cluster.nodes.iter().enumerate() {
-        let shared = Arc::clone(&shared);
-        let tx = tx.clone();
-        let addr = addr.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("mdmp-cluster-node-{node}"))
-            .spawn(move || node_loop(&shared, node, &addr, &tx))
-            .map_err(|e| ClusterError::Spawn(e.to_string()))?;
-        handles.push(handle);
+    {
+        // No node can claim while this lock is held, and the first leases
+        // are granted only once every thread exists: a failed spawn
+        // returns with nothing granted, and the threads already running
+        // steal every shard and exit.
+        let mut table = sync::lock(&shared.table);
+        for (node, addr) in cluster.nodes.iter().enumerate() {
+            let shared = Arc::clone(&shared);
+            let tx = tx.clone();
+            let addr = addr.clone();
+            let handle = std::thread::Builder::new()
+                .name(format!("mdmp-cluster-node-{node}"))
+                .spawn(move || node_loop(&shared, node, &addr, &tx))
+                .map_err(|e| ClusterError::Spawn(e.to_string()))?;
+            handles.push(handle);
+        }
+        table.grant_first_leases();
     }
     drop(tx);
 

@@ -10,6 +10,9 @@
 //!
 //! Scheduling policy, in claim order (DESIGN.md §12):
 //!
+//! 0. the node's granted first lease: [`LeaseTable::grant_first_leases`]
+//!    leases each node the front of its own shard before any node claims,
+//!    so no node can lose its first tile to a faster thief;
 //! 1. re-dispatched tiles from failed nodes (`requeue`) — highest urgency
 //!    because they are the oldest unfinished work;
 //! 2. the node's own shard, front to back;
@@ -58,6 +61,8 @@ pub struct LeaseTable {
     requeue: VecDeque<usize>,
     /// tile -> the node holding its lease.
     leased: BTreeMap<usize, usize>,
+    /// node -> its granted first lease, not yet handed out by `next_for`.
+    granted: Vec<Option<usize>>,
     done: BTreeSet<usize>,
     total: usize,
     steals: u64,
@@ -83,6 +88,7 @@ impl LeaseTable {
             shards,
             requeue: VecDeque::new(),
             leased: BTreeMap::new(),
+            granted: vec![None; nodes],
             done: BTreeSet::new(),
             total,
             steals: 0,
@@ -96,6 +102,12 @@ impl LeaseTable {
     pub fn next_for(&mut self, node: usize) -> NextLease {
         if self.done.len() == self.total {
             return NextLease::Finished;
+        }
+        if let Some(tile) = self.granted[node].take() {
+            return NextLease::Tile {
+                tile,
+                stolen: false,
+            };
         }
         if let Some(tile) = self.requeue.pop_front() {
             self.lease(node, tile);
@@ -124,6 +136,22 @@ impl LeaseTable {
             }
         }
         NextLease::Wait
+    }
+
+    /// Lease the front of every node's own shard to that node — the tile
+    /// each node claims first anyway — before any node can steal; the
+    /// node's next `next_for` hands it out.
+    ///
+    /// `run_cluster` grants these before any node thread claims, so every
+    /// node with a shard makes its first request however the threads are
+    /// scheduled, and a fault planned for request 0 always fires.
+    pub fn grant_first_leases(&mut self) {
+        for node in 0..self.shards.len() {
+            if let Some(tile) = self.shards[node].pop_front() {
+                self.lease(node, tile);
+                self.granted[node] = Some(tile);
+            }
+        }
     }
 
     fn lease(&mut self, node: usize, tile: usize) {
@@ -161,9 +189,11 @@ impl LeaseTable {
     }
 
     /// Remove `node` from the cluster: release every lease it holds (each
-    /// re-dispatched via [`LeaseTable::fail`] semantics) and move its
-    /// unclaimed shard to the re-dispatch queue.
+    /// re-dispatched via [`LeaseTable::fail`] semantics, an unclaimed
+    /// granted first lease included) and move its unclaimed shard to the
+    /// re-dispatch queue.
     pub fn quarantine(&mut self, node: usize) {
+        self.granted[node] = None;
         let held: Vec<usize> = self
             .leased
             .iter()
@@ -309,6 +339,42 @@ mod tests {
             }
         }
         assert_eq!(order, vec![2, 3, 0, 1]);
+    }
+
+    #[test]
+    fn first_leases_take_each_shard_front_before_any_steal() {
+        let mut table = LeaseTable::new(5, 4);
+        // Shards: [0,1], [2], [3], [4].
+        table.grant_first_leases();
+        let own = |tile| NextLease::Tile {
+            tile,
+            stolen: false,
+        };
+        // Node 1 gets its granted tile first. Its shard is then empty, so
+        // it steals the only unleased tile, never another node's grant.
+        assert_eq!(table.next_for(1), own(2));
+        table.complete(1, 2);
+        assert_eq!(
+            table.next_for(1),
+            NextLease::Tile {
+                tile: 1,
+                stolen: true
+            }
+        );
+        assert_eq!(table.next_for(1), NextLease::Wait);
+        assert_eq!(table.next_for(0), own(0));
+        assert_eq!(table.next_for(0), NextLease::Wait);
+        // A node quarantined before it claimed its grant releases it for
+        // re-dispatch; the other grants stay with their nodes.
+        table.quarantine(3);
+        assert_eq!(table.redispatches(), 1);
+        assert_eq!(table.next_for(0), own(4));
+        assert_eq!(table.next_for(2), own(3));
+        // A node with an empty shard gets no first lease.
+        let mut small = LeaseTable::new(1, 2);
+        small.grant_first_leases();
+        assert_eq!(small.next_for(1), NextLease::Wait);
+        assert_eq!(small.next_for(0), own(0));
     }
 
     #[test]

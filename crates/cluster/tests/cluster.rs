@@ -136,9 +136,10 @@ fn fault_free_two_node_run_executes_every_tile_once() {
     assert_bit_identical(&run.profile, &local, "fp32 on 2 nodes");
 }
 
-/// Node loss mid-job: node 1 is killed on its second request; its leased
-/// tile and unclaimed shard are re-dispatched to the survivors, the job
-/// completes, and the output is still bit-identical.
+/// Node loss mid-job: node 1 is killed on its first request, the front of
+/// its own shard, which `run_cluster` leases to it before any node claims
+/// (so the survivors cannot steal it first and the kill always fires); its leased tile and unclaimed shard are re-dispatched to the
+/// survivors, the job completes, and the output is still bit-identical.
 #[test]
 fn node_kill_mid_job_redispatches_and_stays_bit_identical() {
     let (_servers, addrs) = start_nodes(3);
@@ -146,7 +147,7 @@ fn node_kill_mid_job_redispatches_and_stays_bit_identical() {
         let spec = spec(mode);
         let local = single_node_profile(&spec);
         let mut cluster = cluster_config(&addrs);
-        cluster.fault_plan = "nodekill@1:1".parse().expect("fault plan");
+        cluster.fault_plan = "nodekill@1:0".parse().expect("fault plan");
         let run = run_cluster(&spec, &cluster)
             .unwrap_or_else(|e| panic!("cluster run with node loss in {mode}: {e}"));
         assert_bit_identical(&run.profile, &local, mode);

@@ -3,8 +3,8 @@
 //!
 //! The model wraps the *real* [`mdmp_cluster::LeaseTable`] — it is pure
 //! bookkeeping with no internal locks — in the checker's mutex/condvar,
-//! with exactly the production lock protocol of `coordinator.rs`:
-//! claim under the lock (wait on the condvar while nothing is claimable),
+//! with exactly the production lock protocol of `coordinator.rs`: first
+//! leases granted before any node claims, claim under the lock (wait on the condvar while nothing is claimable),
 //! execute outside it, then `complete`/`fail`+`quarantine` under the lock
 //! followed by `notify_all`. Every schedule the checker explores is a
 //! schedule the real coordinator could see.
@@ -33,9 +33,6 @@ struct Model {
     /// Whether the failure path notifies waiters (true in production; the
     /// negative control turns it off to demonstrate the lost wakeup).
     notify_on_fail: bool,
-    /// Whether the dying node actually reached its failure (in some
-    /// schedules the survivor finishes the whole job first).
-    fail_fired: Mutex<bool>,
 }
 
 /// One node thread, with the production claim/execute/complete protocol.
@@ -60,7 +57,6 @@ fn node_loop(model: &Model, node: usize, fail_first: bool) {
                 table.fail(node, tile);
                 table.quarantine(node);
             }
-            *model.fail_fired.lock() = true;
             if model.notify_on_fail {
                 model.work.notify_all();
             }
@@ -77,20 +73,23 @@ fn node_loop(model: &Model, node: usize, fail_first: bool) {
     }
 }
 
-/// Two nodes over `tiles` tiles; node 1 dies on its first tile when
-/// `kill_node_1`. Asserts the exactly-once invariants after both join.
+/// Two nodes over `tiles` tiles, each granted the front of its own shard
+/// before either runs, as `run_cluster` does; node 1 dies on its first
+/// tile (that grant) when `kill_node_1`. Asserts the exactly-once
+/// invariants after both join.
 fn lease_model(
     tiles: usize,
     kill_node_1: bool,
     notify_on_fail: bool,
 ) -> impl Fn() + Send + Sync + 'static {
     move || {
+        let mut table = LeaseTable::new(tiles, 2);
+        table.grant_first_leases();
         let model = Arc::new(Model {
-            table: Mutex::new(LeaseTable::new(tiles, 2)),
+            table: Mutex::new(table),
             work: Condvar::new(),
             merged: Mutex::new(BTreeMap::new()),
             notify_on_fail,
-            fail_fired: Mutex::new(false),
         });
         let a = {
             let model = Arc::clone(&model);
@@ -109,9 +108,10 @@ fn lease_model(
         }
         let table = model.table.lock();
         assert_eq!(table.merged(), tiles);
-        // A tile has exactly one holder, so a fired failure always
-        // orphans its lease into the re-dispatch queue.
-        if kill_node_1 && *model.fail_fired.lock() {
+        // Node 1 always reaches its granted tile, and a tile has exactly
+        // one holder, so the kill always orphans that lease into the
+        // re-dispatch queue.
+        if kill_node_1 {
             assert!(
                 table.redispatches() >= 1,
                 "the dead node's lease must be re-dispatched"

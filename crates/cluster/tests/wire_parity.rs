@@ -127,7 +127,8 @@ fn node_kill_on_binary_wire_stays_bit_identical() {
     let spec = spec("fp32");
     let local = single_node_profile(&spec);
     let mut cluster = config(&addrs, WirePreference::Auto);
-    cluster.fault_plan = "nodekill@1:1".parse().expect("fault plan");
+    // Request 0 is node 1's granted first lease, so the kill always fires.
+    cluster.fault_plan = "nodekill@1:0".parse().expect("fault plan");
     let run = run_cluster(&spec, &cluster).expect("cluster run");
     assert_bit_identical(&run.profile, &local, "fp32 binary with node loss");
     assert_eq!(run.quarantined_nodes(), vec![1]);
