@@ -18,7 +18,7 @@
 //!   utilization Nsight-style per-kernel utilization              [modelled]
 //!   fig8        classifier timeline strip (Fig. 8)               [functional]
 //!   fig11       startup + primitive pattern shapes as CSV
-//!   multinode   multi-node (MPI-like) scaling extension          [modelled]
+//!   multinode   multi-node scaling, lease protocol replay        [modelled]
 //!   schedule    round-robin vs balanced tile scheduling ablation [modelled]
 //!   modes-ext   all modes incl. BF16 / TF32 / FP8                [functional]
 //!   clamp       correlation-overshoot clamp ablation             [functional]

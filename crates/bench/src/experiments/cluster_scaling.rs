@@ -4,12 +4,15 @@
 //!
 //! For 1, 2 and 3 in-process worker nodes the same ≥12-tile FP32 job is
 //! sharded, stolen and merged; throughput is reported on the **modelled
-//! device clock** (per-tile device seconds come from the calibrated cost
-//! model and are node-independent, so the makespan — the busiest node's
-//! accumulated device seconds — is machine-independent and
-//! CI-assertable). A final chaos row re-runs the 3-node configuration
-//! with one node killed mid-job to record the re-dispatch machinery in
-//! the artifact.
+//! device clock**: the coordinator's lease protocol replayed over the
+//! per-tile device seconds (`ClusterRun::modelled_makespan_seconds`).
+//! Every configuration starts on fresh nodes, so every tile is priced
+//! with a cold precalc cache wherever it ran, and the replay does not
+//! depend on which node ran which tile: the makespan is the same on every
+//! run and host, and CI can assert it. A final chaos row re-runs the
+//! 3-node configuration with one node killed on its first request to
+//! record the re-dispatch machinery in the artifact; its makespan is the
+//! replay over the two survivors.
 //!
 //! Every configuration's merged profile is asserted bit-identical to the
 //! single-node run — the bench doubles as the cluster determinism check.
@@ -83,8 +86,8 @@ pub fn cluster_scaling(quick: bool) -> ExperimentTable {
         "cluster_scaling",
         &format!(
             "cluster tiles/sec vs node count, {TILES}-tile FP32 job on in-process worker \
-             nodes; modelled device clock (machine-independent); '3+kill' loses one node \
-             mid-job",
+             nodes; modelled device clock (lease replay over per-tile device seconds); \
+             '3+kill' loses one node mid-job",
         ),
         &[
             "config",
@@ -180,8 +183,9 @@ pub fn write_bench_json(table: &ExperimentTable, path: &Path) -> io::Result<Path
 mod tests {
     use super::*;
 
-    /// The modelled clock makes the scaling assertion machine-independent:
-    /// near-equal shards + stealing must put 3 nodes at >= 1.8x one node.
+    /// The lease replay makes the scaling assertion independent of host
+    /// timing: near-equal shards + stealing must put 3 nodes at >= 1.8x
+    /// one node.
     #[test]
     fn three_nodes_scale_past_1_8x_on_the_modelled_clock() {
         let table = cluster_scaling(true);

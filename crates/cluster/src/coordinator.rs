@@ -17,6 +17,10 @@
 //! joins every in-flight request before it returns, so a second copy of
 //! a slow tile could never shorten a run, and none is leased.
 //!
+//! The run's modelled clock does not come from this host-timed schedule:
+//! [`ClusterRun::modelled_makespan_seconds`] replays the lease table over
+//! the merged tiles' device seconds ([`replay_makespan`]).
+//!
 //! **Determinism argument.** Remote tiles are computed by
 //! [`mdmp_core::run_tile_subset`] over the job's *global* tiling, so a
 //! tile's planes are bit-identical wherever it runs; planes cross the
@@ -28,7 +32,7 @@
 //! therefore cannot change a single output bit (DESIGN.md §12).
 
 use crate::client::{tile_exec_request, DecodedTile, NodeClient};
-use crate::lease::{Completion, LeaseTable, NextLease};
+use crate::lease::{replay_makespan, Completion, LeaseTable, NextLease};
 use crate::sync;
 use mdmp_core::{job_tile_count, MatrixProfile};
 use mdmp_faults::{ClusterFaultPlan, NodeFaultKind};
@@ -139,6 +143,8 @@ pub struct ClusterRun {
     pub duplicates_dropped: u64,
     /// Per-node reports, in node order.
     pub nodes: Vec<NodeReport>,
+    /// Modelled device seconds of each merged tile, by tile index.
+    pub tile_seconds: Vec<f64>,
     /// Wall-clock seconds of the whole cluster run.
     pub wall_seconds: f64,
 }
@@ -179,15 +185,16 @@ impl ClusterRun {
             .collect()
     }
 
-    /// The cluster's makespan on the modelled device clock: the busiest
-    /// node's accumulated device seconds. Tile costs come from the same
-    /// cost model wherever a tile runs, so this is schedule-deterministic
-    /// up to the tile→node assignment.
+    /// The cluster's makespan on the modelled device clock: the lease
+    /// protocol replayed over [`ClusterRun::tile_seconds`] on the nodes
+    /// that were not quarantined ([`replay_makespan`]). Host timing decides
+    /// which node ran which tile, but not this number: it is a function of
+    /// the tile costs and the survivor count alone. The tile costs come
+    /// from the cost model and can still differ between runs, for example
+    /// when a worker served a tile's precalculation from its cache.
     pub fn modelled_makespan_seconds(&self) -> f64 {
-        self.nodes
-            .iter()
-            .map(|n| n.device_seconds)
-            .fold(0.0, f64::max)
+        let survivors = self.nodes.iter().filter(|n| !n.quarantined).count();
+        replay_makespan(&self.tile_seconds, survivors)
     }
 
     /// Modelled throughput: tiles per modelled makespan second.
@@ -515,13 +522,19 @@ pub fn run_cluster(spec: &JobSpec, cluster: &ClusterConfig) -> Result<ClusterRun
     drop(tx);
 
     let mut merge = ReorderMerge::new(n_q, dims, total);
+    let mut tile_seconds = vec![0.0; total];
     let mut fatal: Option<ClusterError> = None;
     while !merge.is_complete() {
         match rx.recv() {
             Ok(tile) => {
-                if let Err(e) = merge.offer(tile) {
-                    fatal = Some(ClusterError::Protocol(e));
-                    break;
+                let (index, seconds) = (tile.tile, tile.device_seconds);
+                match merge.offer(tile) {
+                    Ok(true) => tile_seconds[index] = seconds,
+                    Ok(false) => {}
+                    Err(e) => {
+                        fatal = Some(ClusterError::Protocol(e));
+                        break;
+                    }
                 }
             }
             // Every node thread exited (channel closed) with tiles
@@ -559,6 +572,7 @@ pub fn run_cluster(spec: &JobSpec, cluster: &ClusterConfig) -> Result<ClusterRun
         redispatches: table.redispatches(),
         duplicates_dropped: table.duplicates_dropped(),
         nodes,
+        tile_seconds,
         wall_seconds: started.elapsed().as_secs_f64(),
     })
 }

@@ -24,6 +24,10 @@
 //! duplicate would only occupy a device and delay that join. `complete`
 //! still keeps only the first delivery of a tile, because the original
 //! holder of a re-dispatched tile may yet answer late.
+//!
+//! [`replay_makespan`] drives this same table on a modelled clock: it is
+//! the cluster's modelled makespan, so the modelled schedule follows the
+//! claim policy above by construction.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -234,6 +238,52 @@ impl LeaseTable {
     }
 }
 
+/// The modelled makespan of a fault-free run of `tile_seconds.len()`
+/// tiles on `nodes` nodes: the lease protocol replayed on a modelled
+/// clock, charging each tile its device seconds.
+///
+/// A fresh [`LeaseTable`] grants the first leases and every node's clock
+/// starts at 0. Then, as a discrete-event loop, the node whose clock frees
+/// first (ties: the lowest node index) completes its tile and claims its
+/// next one through [`LeaseTable::next_for`]. Nothing fails in the replay,
+/// so a node told to wait has nothing left to claim and stays idle.
+/// Returns the busiest node's clock.
+pub fn replay_makespan(tile_seconds: &[f64], nodes: usize) -> f64 {
+    let nodes = nodes.max(1);
+    let mut table = LeaseTable::new(tile_seconds.len(), nodes);
+    table.grant_first_leases();
+    let mut clock = vec![0.0_f64; nodes];
+    let mut holding: Vec<Option<usize>> = (0..nodes)
+        .map(|node| replay_claim(&mut table, node, tile_seconds, &mut clock[node]))
+        .collect();
+    while let Some(node) = (0..nodes)
+        .filter(|&n| holding[n].is_some())
+        .min_by(|&a, &b| clock[a].total_cmp(&clock[b]))
+    {
+        if let Some(tile) = holding[node].take() {
+            table.complete(node, tile);
+        }
+        holding[node] = replay_claim(&mut table, node, tile_seconds, &mut clock[node]);
+    }
+    clock.into_iter().fold(0.0, f64::max)
+}
+
+/// `node` claims its next tile in the replay, and its clock pays for it.
+fn replay_claim(
+    table: &mut LeaseTable,
+    node: usize,
+    tile_seconds: &[f64],
+    clock: &mut f64,
+) -> Option<usize> {
+    match table.next_for(node) {
+        NextLease::Tile { tile, .. } => {
+            *clock += tile_seconds[tile];
+            Some(tile)
+        }
+        NextLease::Wait | NextLease::Finished => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,10 +396,6 @@ mod tests {
         let mut table = LeaseTable::new(5, 4);
         // Shards: [0,1], [2], [3], [4].
         table.grant_first_leases();
-        let own = |tile| NextLease::Tile {
-            tile,
-            stolen: false,
-        };
         // Node 1 gets its granted tile first. Its shard is then empty, so
         // it steals the only unleased tile, never another node's grant.
         assert_eq!(table.next_for(1), own(2));
@@ -386,5 +432,64 @@ mod tests {
         assert_eq!(table.next_for(1), NextLease::Wait);
         table.complete(0, tile);
         assert_eq!(table.next_for(1), NextLease::Finished);
+    }
+
+    #[test]
+    fn replay_splits_equal_tiles_as_ceil_t_over_n() {
+        let c = 0.25;
+        for (tiles, nodes) in [(12_usize, 3), (8, 3), (7, 2), (5, 8), (1, 4)] {
+            let expect = tiles.div_ceil(nodes) as f64 * c;
+            assert_eq!(
+                replay_makespan(&vec![c; tiles], nodes).to_bits(),
+                expect.to_bits(),
+                "{tiles} tiles on {nodes} nodes"
+            );
+        }
+    }
+
+    #[test]
+    fn replay_on_one_node_sums_every_tile() {
+        let costs = [0.5, 0.125, 2.0, 0.25, 1.0];
+        assert_eq!(replay_makespan(&costs, 1), costs.iter().sum::<f64>());
+        // Zero nodes is clamped to one, as `LeaseTable::new` does.
+        assert_eq!(replay_makespan(&costs, 0), costs.iter().sum::<f64>());
+    }
+
+    #[test]
+    fn replay_of_zero_tiles_is_zero() {
+        assert_eq!(replay_makespan(&[], 3), 0.0);
+    }
+
+    #[test]
+    fn replay_steals_from_the_back_of_the_expensive_shard() {
+        // Shards: node 0 gets [0,1,2] (cheap), node 1 gets [3,4,5]
+        // (expensive). Node 0 drains its shard at t = 3 while node 1 is
+        // still on tile 3 (until t = 4), so node 0 steals from the back of
+        // shard 1: tile 5, done at t = 3 + 6 = 9. Node 1 runs tiles 3 and
+        // 4 to t = 8. Stealing tile 4 instead would end at 10 (node 1 runs
+        // 3 then 5), and no steal at 14.
+        let costs = [1.0, 1.0, 1.0, 4.0, 4.0, 6.0];
+        let mut table = LeaseTable::new(costs.len(), 2);
+        table.grant_first_leases();
+        assert_eq!(table.next_for(1), own(3));
+        for tile in 0..3 {
+            assert_eq!(table.next_for(0), own(tile));
+            table.complete(0, tile);
+        }
+        assert_eq!(
+            table.next_for(0),
+            NextLease::Tile {
+                tile: 5,
+                stolen: true
+            }
+        );
+        assert_eq!(replay_makespan(&costs, 2).to_bits(), 9.0_f64.to_bits());
+    }
+
+    fn own(tile: usize) -> NextLease {
+        NextLease::Tile {
+            tile,
+            stolen: false,
+        }
     }
 }

@@ -13,10 +13,11 @@
 //! buffer — so the cluster's output is **bit-identical** to a single-node
 //! run in every precision mode (DESIGN.md §12).
 //!
-//! Unlike `mdmp_core::multinode`, which *models* an MPI-style cluster on
-//! simulated interconnects, this crate coordinates real worker processes
-//! over real sockets; only per-tile device seconds come from the cost
-//! model.
+//! The crate coordinates real worker processes over real sockets; only
+//! per-tile device seconds come from the cost model. The cluster's
+//! modelled makespan replays the same lease table on those seconds
+//! ([`replay_makespan`]), so the modelled schedule is the real claim
+//! policy and does not depend on host timing.
 //!
 //! ## Quick start
 //!
@@ -47,4 +48,4 @@ pub use client::{decode_tile, tile_exec_request, DecodedTile, NodeClient, NodeEr
 pub use coordinator::{
     job_spec_json, run_cluster, ClusterConfig, ClusterError, ClusterRun, NodeReport, ReorderMerge,
 };
-pub use lease::{Completion, LeaseTable, NextLease};
+pub use lease::{replay_makespan, Completion, LeaseTable, NextLease};

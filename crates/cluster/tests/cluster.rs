@@ -4,8 +4,8 @@
 //! single-node run of the same job down to the last `f64` bit, in every
 //! precision mode, with or without nodes dying mid-job.
 
-use mdmp_cluster::{run_cluster, ClusterConfig, ClusterError};
-use mdmp_core::{run_with_mode, MatrixProfile};
+use mdmp_cluster::{replay_makespan, run_cluster, ClusterConfig, ClusterError};
+use mdmp_core::{estimate_tile_seconds, run_with_mode, MatrixProfile};
 use mdmp_gpu_sim::{DeviceSpec, GpuSystem};
 use mdmp_service::{serve, JobInput, JobSpec, Priority, Server, Service, ServiceConfig};
 use std::sync::Arc;
@@ -160,6 +160,53 @@ fn node_kill_mid_job_redispatches_and_stays_bit_identical() {
         let merged: u64 = run.nodes.iter().map(|n| n.tiles_merged).sum();
         assert_eq!(merged as usize, run.tiles_total, "{mode}");
     }
+}
+
+/// The modelled makespan is the lease replay over the run's tile costs,
+/// so host-timed steals cannot move it: ten fault-free 3-node runs, each
+/// on fresh (cold-cache) nodes, read the same bits, and a run that loses
+/// node 2 on its first request reads the replay over the two survivors.
+#[test]
+fn modelled_makespan_is_the_deterministic_lease_replay() {
+    let spec = spec("fp32");
+    let local = single_node_profile(&spec);
+    let (reference, query) = spec.materialize().expect("materialize");
+    let priced = estimate_tile_seconds(
+        reference.n_segments(spec.m),
+        query.n_segments(spec.m),
+        reference.dims(),
+        &spec.config(),
+        &DeviceSpec::a100(),
+    )
+    .expect("tile prices");
+    let mut first: Option<u64> = None;
+    for run_index in 0..10 {
+        let (_servers, addrs) = start_nodes(3);
+        let run = run_cluster(&spec, &cluster_config(&addrs)).expect("cluster run");
+        assert_bit_identical(&run.profile, &local, "fp32 on 3 nodes");
+        let bits: Vec<u64> = run.tile_seconds.iter().map(|s| s.to_bits()).collect();
+        let expect: Vec<u64> = priced.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(bits, expect, "run {run_index}: tile costs");
+        let makespan = run.modelled_makespan_seconds();
+        assert_eq!(
+            makespan.to_bits(),
+            replay_makespan(&run.tile_seconds, 3).to_bits(),
+            "run {run_index}"
+        );
+        let first = *first.get_or_insert(makespan.to_bits());
+        assert_eq!(makespan.to_bits(), first, "run {run_index}: makespan moved");
+    }
+
+    let (_servers, addrs) = start_nodes(3);
+    let mut cluster = cluster_config(&addrs);
+    cluster.fault_plan = "nodekill@2:0".parse().expect("fault plan");
+    let run = run_cluster(&spec, &cluster).expect("cluster run with node loss");
+    assert_bit_identical(&run.profile, &local, "fp32 after losing node 2");
+    assert_eq!(run.quarantined_nodes(), vec![2]);
+    assert_eq!(
+        run.modelled_makespan_seconds().to_bits(),
+        replay_makespan(&run.tile_seconds, 2).to_bits()
+    );
 }
 
 /// A dropped connection is transient: the node fails one request, the

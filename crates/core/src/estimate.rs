@@ -7,13 +7,15 @@
 //! functional driver — same tiling, same Round-robin assignment, same
 //! stream overlap, same merge model — without computing any distances,
 //! producing the modelled timings used for Fig. 4, 5, 6, 7 and the
-//! headline speedups at the paper's full scale.
+//! headline speedups at the paper's full scale. [`estimate_tile_seconds`]
+//! prices each tile on its own, as a cluster worker does, for the
+//! multi-node extension.
 
 use crate::config::{MdmpConfig, MdmpError};
 use crate::driver::{merge_model, overlap_factor, submit_tile_costs};
 use crate::tile_exec::tile_cost_bundle;
 use crate::tiling::{assign_tiles_weighted, compute_tile_list};
-use mdmp_gpu_sim::{CostLedger, GpuSystem};
+use mdmp_gpu_sim::{CostLedger, DeviceSpec, GpuSystem};
 
 /// Modelled timing of a run at arbitrary scale.
 #[derive(Debug, Clone)]
@@ -89,6 +91,43 @@ pub fn estimate_run(
         device_makespans,
         ledger,
     })
+}
+
+/// The modelled device seconds of every tile of an `n_r × n_q`, `d`-dim
+/// job, by tile index, each charged as a cluster worker charges a one-tile
+/// request ([`crate::run_tile_subset`]): one `spec` device, launch overlap
+/// decided for the whole job, precalculation not cached.
+pub fn estimate_tile_seconds(
+    n_r: usize,
+    n_q: usize,
+    d: usize,
+    cfg: &MdmpConfig,
+    spec: &DeviceSpec,
+) -> Result<Vec<f64>, MdmpError> {
+    cfg.validate(n_r, n_q)?;
+    let tiles = compute_tile_list(n_r, n_q, cfg.n_tiles)?;
+    let overlap = overlap_factor(tiles.len(), 1);
+    let kahan = cfg.mode.compensated_precalc();
+    let mut system = GpuSystem::homogeneous(spec.clone(), 1);
+    tiles
+        .iter()
+        .map(|tile| {
+            system.reset();
+            let (costs, h2d, d2h, device_bytes) = tile_cost_bundle(tile, d, cfg, kahan);
+            submit_tile_costs(
+                &mut system,
+                0,
+                0,
+                tile.index,
+                &costs,
+                h2d,
+                d2h,
+                device_bytes,
+                overlap,
+            )?;
+            Ok(system.device(0).timeline.makespan())
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -313,5 +352,46 @@ mod tests {
             t1024 > t16,
             "1024 tiles pay merge overhead: {t1024} vs {t16}"
         );
+    }
+
+    /// The per-tile estimate is what a worker reports for a one-tile
+    /// request, bit for bit, in every mode.
+    #[test]
+    fn tile_seconds_match_one_tile_subset_requests() {
+        use mdmp_data::synthetic::{generate_pair, Pattern, SyntheticConfig};
+        let pair = generate_pair(&SyntheticConfig {
+            n_subsequences: 96,
+            dims: 2,
+            m: 8,
+            pattern: Pattern::Sine,
+            embeddings: 1,
+            noise: 0.3,
+            pattern_amplitude: 1.0,
+            seed: 5,
+        });
+        let n_r = pair.reference.n_segments(8);
+        let n_q = pair.query.n_segments(8);
+        for mode in PrecisionMode::ALL {
+            let cfg = MdmpConfig::new(8, mode).with_tiles(4);
+            let estimated = estimate_tile_seconds(n_r, n_q, 2, &cfg, &DeviceSpec::a100()).unwrap();
+            assert_eq!(estimated.len(), 4, "{mode}");
+            let mut node = GpuSystem::homogeneous(DeviceSpec::a100(), 1);
+            for (index, seconds) in estimated.iter().enumerate() {
+                let run = crate::run_tile_subset(
+                    &pair.reference,
+                    &pair.query,
+                    &cfg,
+                    &mut node,
+                    None,
+                    &[index],
+                )
+                .unwrap();
+                assert_eq!(
+                    run.results[0].device_seconds.to_bits(),
+                    seconds.to_bits(),
+                    "{mode} tile {index}"
+                );
+            }
+        }
     }
 }

@@ -46,7 +46,6 @@ pub mod config;
 pub mod driver;
 pub mod estimate;
 pub mod kernels;
-pub mod multinode;
 pub mod precalc;
 pub mod profile;
 pub mod remote;
@@ -58,8 +57,7 @@ pub use analysis::{motif_subspace, top_discords, top_motifs, Discord, Motif};
 pub use anytime::{scrimp_anytime, AnytimeProgress};
 pub use config::{MdmpConfig, MdmpError, TileError};
 pub use driver::{run_with_mode, run_with_mode_cached, MdmpRun, PrecalcStore};
-pub use estimate::{estimate_run, RunEstimate};
-pub use multinode::{estimate_cluster, run_on_cluster, ClusterRun};
+pub use estimate::{estimate_run, estimate_tile_seconds, RunEstimate};
 pub use precalc::{
     compute_stats, compute_stats_checkpointed, convert_qt, extend_stats, initial_qt,
     initial_qt_pooled, SeriesDevice, Stats, StatsCheckpoint,

@@ -11,10 +11,9 @@
 //! coordinator's in-order merge reproduces the single-node profile
 //! exactly (DESIGN.md §12).
 //!
-//! Unlike [`crate::multinode`], which *models* an MPI-style cluster on
-//! simulated interconnects, this module backs real remote execution: the
-//! worker ships actual result planes, and only the per-tile device
-//! seconds come from the cost model.
+//! The worker ships actual result planes; only the per-tile device
+//! seconds come from the cost model ([`crate::estimate_tile_seconds`]
+//! prices the same one-tile requests without computing them).
 
 use crate::config::{MdmpConfig, MdmpError, TileError};
 use crate::driver::{overlap_factor, retry_backoff, submit_tile_costs, PrecalcStore};

@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod cluster;
 pub mod cost;
 pub mod device;
 pub mod executor;
@@ -39,7 +38,6 @@ pub mod simt;
 pub mod stream;
 pub mod timing;
 
-pub use cluster::{ClusterSystem, Interconnect};
 pub use cost::{CostLedger, KernelClass, KernelCost};
 pub use device::{DeviceKind, DeviceSpec, LaunchConfig, TcThroughput};
 pub use executor::{GpuSystem, SimDevice};

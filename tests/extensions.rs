@@ -1,13 +1,14 @@
-//! Cross-crate integration tests of the beyond-paper extensions: cluster
+//! Cross-crate integration tests of the beyond-paper extensions: multi-GPU
 //! execution, streaming updates, anytime computation, motif analysis, and
-//! the FP8 modes — exercised together through the public API.
+//! the FP8 modes — exercised together through the public API. (Cluster ≡
+//! single-node is proven over real TCP nodes in `crates/cluster/tests`.)
 
 use mdmp_core::{
-    run_on_cluster, run_with_mode, scrimp_anytime, top_discords, top_motifs, MdmpConfig,
-    StreamingProfile, TileSchedule,
+    run_with_mode, scrimp_anytime, top_discords, top_motifs, MdmpConfig, StreamingProfile,
+    TileSchedule,
 };
 use mdmp_data::synthetic::{generate_pair, Pattern, SyntheticConfig};
-use mdmp_gpu_sim::{ClusterSystem, DeviceSpec, GpuSystem, Interconnect};
+use mdmp_gpu_sim::{DeviceSpec, GpuSystem};
 use mdmp_metrics::{recall_rate, relative_accuracy};
 use mdmp_precision::PrecisionMode;
 
@@ -26,8 +27,8 @@ fn pair(n: usize, seed: u64) -> mdmp_data::SyntheticPair {
 
 #[test]
 fn four_ways_to_compute_the_same_profile_agree() {
-    // Single GPU, multi-GPU cluster, streaming appends and the anytime
-    // algorithm at full fraction must all agree in FP64.
+    // Single GPU, four GPUs, streaming appends and the anytime algorithm
+    // at full fraction must all agree in FP64.
     let p = pair(300, 1);
     let m = 16;
     let cfg = MdmpConfig::new(m, PrecisionMode::Fp64).with_tiles(4);
@@ -37,11 +38,11 @@ fn four_ways_to_compute_the_same_profile_agree() {
         .unwrap()
         .profile;
 
-    let mut cluster = ClusterSystem::homogeneous(DeviceSpec::v100(), 2, 2, Interconnect::default());
-    let clustered = run_on_cluster(&p.reference, &p.query, &cfg, &mut cluster)
+    let mut four = GpuSystem::homogeneous(DeviceSpec::v100(), 4);
+    let multi_gpu = run_with_mode(&p.reference, &p.query, &cfg, &mut four)
         .unwrap()
         .profile;
-    assert_eq!(base, clustered, "cluster result differs");
+    assert_eq!(base, multi_gpu, "multi-GPU result differs");
 
     let keep = p.query.len() - 50;
     let head = p.query.window(0, keep);
