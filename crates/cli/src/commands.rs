@@ -321,7 +321,8 @@ pub fn estimate(args: &ParsedArgs) -> CmdResult {
 }
 
 /// `mdmp info` — supported devices and precision modes.
-pub fn info() -> CmdResult {
+pub fn info(args: &ParsedArgs) -> CmdResult {
+    args.reject_unknown().map_err(err)?;
     println!("devices:");
     for spec in [
         DeviceSpec::a100(),
@@ -356,15 +357,19 @@ pub fn info() -> CmdResult {
 
 /// Usage text.
 pub fn usage() -> String {
-    "mdmp — multi-dimensional matrix profile with reduced precision (IPDPS'22 reproduction)
+    let modes = PrecisionMode::ALL
+        .map(|mode| mode.label().to_ascii_lowercase())
+        .join("|");
+    format!(
+        "mdmp — multi-dimensional matrix profile with reduced precision (IPDPS'22 reproduction)
 
 USAGE: mdmp <command> [options]
 
+Options take a value as `--key value` or `--key=value`; flags take none.
+
 COMMANDS:
   compute   --reference <csv> [--query <csv>] --m <len> --output <csv>
-            [--mode fp64|fp32|fp16|mixed|fp16c|bf16|tf32|e4m3|e5m2
-                    |fp16-tc|bf16-tc|tf32-tc]
-            [--tiles N] [--gpus N] [--device a100|v100|cpu]
+            [--mode MODE] [--tiles N] [--gpus N] [--device a100|v100|cpu]
             [--schedule rr|balanced] [--self-join] [--no-clamp] [--report]
             [--anytime FRACTION] [--seed S] [--repair-dropouts]
             [--host-workers N]  (0 = auto: $MDMP_HOST_WORKERS, else #gpus)
@@ -376,26 +381,38 @@ COMMANDS:
   discords  --profile <csv> --m <len> [--top N] [--k DIMS]
   generate  --kind synthetic|genome|turbine --output <csv>
             [--n N] [--d D] [--m M] [--pattern 0..7] [--seed S] [--len L]
-  estimate  --n <segments> [--d D] [--m M] [--mode ..] [--tiles N]
+  estimate  --n <segments> [--d D] [--m M] [--mode MODE] [--tiles N]
             [--gpus N] [--device a100|v100|cpu] [--schedule rr|balanced]
   serve     [--addr HOST:PORT] [--workers N] [--devices N] [--queue N]
             [--device a100|v100|cpu] [--cache-mb MB] [--host-workers N]
-  submit    [--addr HOST:PORT] --m <len> [--mode ..] [--tiles N] [--gpus N]
-            [--priority high|normal|low] [--retries N] [--wait] [--timeout S]
-            [--fault-plan SPEC] [--tile-retries N] [--tile-timeout-ms MS]
-            [--deadline-ms MS] [--tc-chunk-k 4|8|16]
-            with --reference <csv> [--query <csv>] (server-side paths), or
-            synthetic: [--n N] [--d D] [--pattern 0..7] [--noise X] [--seed S]
+            — also a cluster worker node
+  submit    [--addr HOST:PORT] [--wait] [--timeout S] JOB
   status    [--addr HOST:PORT] [--id JOB] [--metrics] [--shutdown | --abort]
   stream    [--addr HOST:PORT] --reference <csv> [--query <csv>] --m <len>
-            [--mode ..] [--initial N] [--chunk N] — open a streaming
+            [--mode MODE] [--initial N] [--chunk N] — open a streaming
             session on the query head, append the tail chunk by chunk
             (incremental delta tiles server-side), then close
-  cluster   serve | submit — shard a job's tiles across worker nodes
-            (run `mdmp cluster` for the full option list)
+  cluster submit
+            --nodes HOST:PORT,HOST:PORT,… JOB [--metrics]
+            [--quarantine-threshold N (3)] [--timeout-s S (60)]
+            [--cluster-faults SPEC]  (nodedrop@N:S,nodekill@N:S,…)
+            — shard the job's tiles across `mdmp serve` nodes and merge
+            bit-identically; $MDMP_WIRE=json forces JSON lines
   info      list devices and precision modes
+
+JOB (submit and cluster submit):
+            --m <len> [--mode MODE (fp64)] [--tc-chunk-k 4|8|16]
+            [--tiles N (submit 1, cluster 4 per node)] [--gpus N (1)]
+            [--priority high|normal|low] [--retries N (0)]
+            [--fault-plan SPEC] [--tile-retries N (2)] [--tile-timeout-ms MS]
+            [--deadline-ms MS]
+            with --reference <csv> [--query <csv>] (server-side paths), or
+            synthetic: [--n N (4096)] [--d D (1)] [--pattern 0..7 (0)]
+            [--noise X (0.3)] [--seed S (42)]
+
+MODE: {modes}
 "
-    .to_string()
+    )
 }
 
 #[cfg(test)]
@@ -715,7 +732,9 @@ mod tests {
     fn estimate_and_info_run() {
         let est = parsed(&["estimate", "--n", "4096", "--d", "16", "--mode", "fp16"]);
         estimate(&est).unwrap();
-        info().unwrap();
+        info(&parsed(&["info"])).unwrap();
+        let err = info(&parsed(&["info", "--verbose"])).unwrap_err();
+        assert_eq!(err, "unknown option --verbose");
     }
 
     #[test]

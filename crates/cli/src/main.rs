@@ -4,27 +4,18 @@
 //! Run `mdmp` without arguments for usage.
 
 mod args;
+mod cluster;
 mod commands;
 mod profile_io;
 mod serve;
 
-use args::ParsedArgs;
+use args::{Command, ParsedArgs};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() || raw[0] == "--help" || raw[0] == "help" {
         print!("{}", commands::usage());
         std::process::exit(if raw.is_empty() { 2 } else { 0 });
-    }
-    // `cluster` takes its own subcommand ("cluster serve …"), which the
-    // ParsedArgs grammar rejects as a positional — dispatch it before
-    // parsing.
-    if raw[0] == "cluster" {
-        if let Err(e) = mdmp_cluster::cli::run(&raw[1..]) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        return;
     }
     let parsed = match ParsedArgs::parse(&raw) {
         Ok(p) => p,
@@ -33,24 +24,25 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let result = match parsed.command.as_str() {
-        "compute" => commands::compute(&parsed),
-        "motifs" => commands::mine(&parsed, false),
-        "discords" => commands::mine(&parsed, true),
-        "generate" => commands::generate(&parsed),
-        "estimate" => commands::estimate(&parsed),
-        "serve" => serve::serve(&parsed),
-        "submit" => serve::submit(&parsed),
-        "status" => serve::status(&parsed),
-        "stream" => serve::stream(&parsed),
-        "info" => commands::info(),
-        other => Err(format!(
-            "unknown command '{other}'\n\n{}",
-            commands::usage()
-        )),
-    };
-    if let Err(e) = result {
+    if let Err(e) = dispatch(&parsed) {
         eprintln!("error: {e}");
         std::process::exit(1);
+    }
+}
+
+/// Run the parsed command.
+fn dispatch(args: &ParsedArgs) -> Result<(), String> {
+    match args.command {
+        Command::Compute => commands::compute(args),
+        Command::Motifs => commands::mine(args, false),
+        Command::Discords => commands::mine(args, true),
+        Command::Generate => commands::generate(args),
+        Command::Estimate => commands::estimate(args),
+        Command::Serve => serve::serve(args),
+        Command::Submit => serve::submit(args),
+        Command::Status => serve::status(args),
+        Command::Stream => serve::stream(args),
+        Command::Info => commands::info(args),
+        Command::ClusterSubmit => cluster::submit(args),
     }
 }

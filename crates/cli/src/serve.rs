@@ -5,11 +5,13 @@ use crate::args::ParsedArgs;
 use crate::commands::device_spec;
 use mdmp_data::io as data_io;
 use mdmp_data::MultiDimSeries;
+use mdmp_faults::FaultPlan;
+use mdmp_precision::PrecisionMode;
 use mdmp_service::{
-    request, serve as serve_tcp, wire_preference, Chunk, Json, Message, Service, ServiceConfig,
-    WireConn,
+    job_spec_json, request, serve as serve_tcp, wire_preference, Chunk, JobInput, JobSpec, Json,
+    Message, Priority, Service, ServiceConfig, WireConn,
 };
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -69,67 +71,41 @@ pub fn serve(args: &ParsedArgs) -> CmdResult {
     Ok(())
 }
 
-/// Build the wire-form job object from `submit` arguments.
-fn job_json(args: &ParsedArgs) -> Result<Json, String> {
-    let m: usize = args.require("m").map_err(err)?;
-    let mode: String = args.get_or("mode", "fp64".into()).map_err(err)?;
-    let tiles: usize = args.get_or("tiles", 1).map_err(err)?;
-    let gpus: usize = args.get_or("gpus", 1).map_err(err)?;
-    let priority: String = args.get_or("priority", "normal".into()).map_err(err)?;
-    let retries: u64 = args.get_or("retries", 0).map_err(err)?;
-    let reference: Option<String> = args.get("reference").map_err(err)?;
-    let input = match reference {
-        Some(reference) => {
-            let mut pairs = vec![
-                ("kind", Json::str("csv")),
-                ("reference", Json::str(reference)),
-            ];
-            if let Some(query) = args.get::<String>("query").map_err(err)? {
-                pairs.push(("query", Json::str(query)));
-            }
-            Json::obj(pairs)
-        }
-        None => {
-            let n: usize = args.get_or("n", 4096).map_err(err)?;
-            let d: usize = args.get_or("d", 1).map_err(err)?;
-            let pattern: usize = args.get_or("pattern", 0).map_err(err)?;
-            let noise: f64 = args.get_or("noise", 0.3).map_err(err)?;
-            let seed: u64 = args.get_or("seed", 42).map_err(err)?;
-            Json::obj(vec![
-                ("kind", Json::str("synthetic")),
-                ("n", Json::num(n as f64)),
-                ("d", Json::num(d as f64)),
-                ("pattern", Json::num(pattern as f64)),
-                ("noise", Json::num(noise)),
-                ("seed", Json::num(seed as f64)),
-            ])
-        }
+/// The job a `submit` or `cluster submit` command line describes: one
+/// builder, so both commands share every default except `tiles`, which
+/// defaults to `default_tiles`.
+pub fn job_spec(args: &ParsedArgs, default_tiles: usize) -> Result<JobSpec, String> {
+    let input = match args.get::<PathBuf>("reference").map_err(err)? {
+        Some(reference) => JobInput::Csv {
+            reference,
+            query: args.get("query").map_err(err)?,
+        },
+        None => JobInput::Synthetic {
+            n: args.get_or("n", 4096).map_err(err)?,
+            d: args.get_or("d", 1).map_err(err)?,
+            pattern: args.get_or("pattern", 0).map_err(err)?,
+            noise: args.get_or("noise", 0.3).map_err(err)?,
+            seed: args.get_or("seed", 42).map_err(err)?,
+        },
     };
-    let mut pairs = vec![
-        ("input", input),
-        ("m", Json::num(m as f64)),
-        ("mode", Json::str(mode)),
-        ("tiles", Json::num(tiles as f64)),
-        ("gpus", Json::num(gpus as f64)),
-        ("priority", Json::str(priority)),
-        ("max_retries", Json::num(retries as f64)),
-    ];
-    if let Some(plan) = args.get::<String>("fault-plan").map_err(err)? {
-        pairs.push(("fault_plan", Json::str(plan)));
-    }
-    if let Some(tile_retries) = args.get::<u64>("tile-retries").map_err(err)? {
-        pairs.push(("tile_retries", Json::num(tile_retries as f64)));
-    }
-    if let Some(ms) = args.get::<u64>("tile-timeout-ms").map_err(err)? {
-        pairs.push(("tile_deadline_ms", Json::num(ms as f64)));
-    }
-    if let Some(k) = crate::commands::tc_chunk_k_arg(args)? {
-        pairs.push(("tc_chunk_k", Json::num(k as f64)));
-    }
-    if let Some(ms) = args.get::<u64>("deadline-ms").map_err(err)? {
-        pairs.push(("deadline_ms", Json::num(ms as f64)));
-    }
-    Ok(Json::obj(pairs))
+    Ok(JobSpec {
+        input,
+        m: args.require("m").map_err(err)?,
+        mode: args.get_or("mode", PrecisionMode::Fp64).map_err(err)?,
+        tiles: args.get_or("tiles", default_tiles).map_err(err)?,
+        gpus: args.get_or("gpus", 1).map_err(err)?,
+        priority: args.get_or("priority", Priority::Normal).map_err(err)?,
+        max_retries: args.get_or("retries", 0).map_err(err)?,
+        fault_plan: args
+            .get::<FaultPlan>("fault-plan")
+            .map_err(err)?
+            .map(Arc::new),
+        tile_retries: args.get_or("tile-retries", 2).map_err(err)?,
+        fused_rows: None,
+        tc_chunk_k: crate::commands::tc_chunk_k_arg(args)?,
+        tile_deadline_ms: args.get("tile-timeout-ms").map_err(err)?,
+        deadline_ms: args.get("deadline-ms").map_err(err)?,
+    })
 }
 
 fn check_ok(response: &Json) -> Result<(), String> {
@@ -149,7 +125,7 @@ pub fn submit(args: &ParsedArgs) -> CmdResult {
     let addr: String = args.get_or("addr", "127.0.0.1:7661".into()).map_err(err)?;
     let wait = args.flag("wait");
     let timeout: f64 = args.get_or("timeout", 300.0).map_err(err)?;
-    let job = job_json(args)?;
+    let job = job_spec_json(&job_spec(args, 1)?)?;
     args.reject_unknown().map_err(err)?;
 
     let response = request(
@@ -590,19 +566,14 @@ mod tests {
 
     #[test]
     fn job_json_csv_and_synthetic_forms() {
-        let synth = job_json(&parsed(&[
-            "submit", "--n", "128", "--m", "8", "--seed", "3",
-        ]))
-        .unwrap();
+        let args = parsed(&["submit", "--n", "128", "--m", "8", "--seed", "3"]);
+        let synth = job_spec_json(&job_spec(&args, 1).unwrap()).unwrap();
+        args.reject_unknown().unwrap();
         assert_eq!(
-            synth.get("input").unwrap().get("kind").unwrap().as_str(),
-            Some("synthetic")
+            synth.to_string(),
+            r#"{"input":{"kind":"synthetic","n":128,"d":1,"pattern":0,"noise":0.3,"seed":3},"m":8,"mode":"FP64","tiles":1,"gpus":1,"priority":"normal","tile_retries":2}"#
         );
-        assert_eq!(
-            synth.get("input").unwrap().get("seed").unwrap().as_u64(),
-            Some(3)
-        );
-        let csv = job_json(&parsed(&[
+        let args = parsed(&[
             "submit",
             "--reference",
             "/tmp/r.csv",
@@ -610,11 +581,24 @@ mod tests {
             "/tmp/q.csv",
             "--m",
             "8",
-        ]))
-        .unwrap();
+        ]);
+        let csv = job_spec_json(&job_spec(&args, 1).unwrap()).unwrap();
+        args.reject_unknown().unwrap();
         assert_eq!(
-            csv.get("input").unwrap().get("kind").unwrap().as_str(),
-            Some("csv")
+            csv.get("input").unwrap().to_string(),
+            r#"{"kind":"csv","reference":"/tmp/r.csv","query":"/tmp/q.csv"}"#
         );
+        // Synthetic options do not apply to a CSV input.
+        let args = parsed(&[
+            "submit",
+            "--reference",
+            "/tmp/r.csv",
+            "--n",
+            "9",
+            "--m",
+            "8",
+        ]);
+        job_spec(&args, 1).unwrap();
+        assert_eq!(args.reject_unknown().unwrap_err().0, "unknown option --n");
     }
 }

@@ -37,7 +37,7 @@ use crate::sync;
 use mdmp_core::{job_tile_count, MatrixProfile};
 use mdmp_faults::{ClusterFaultPlan, NodeFaultKind};
 use mdmp_gpu_sim::DeviceHealth;
-use mdmp_service::{wire_preference, JobInput, JobSpec, Json, WirePreference};
+use mdmp_service::{job_spec_json, wire_preference, JobSpec, Json, WirePreference};
 use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -298,59 +298,6 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// The wire form of a distributable job spec, as `mdmp-service`'s
-/// `parse_job_spec` reads it. In-memory inputs cannot be shipped.
-pub fn job_spec_json(spec: &JobSpec) -> Result<Json, String> {
-    let input = match &spec.input {
-        JobInput::Synthetic {
-            n,
-            d,
-            pattern,
-            noise,
-            seed,
-        } => Json::obj(vec![
-            ("kind", Json::str("synthetic")),
-            ("n", Json::num(*n as f64)),
-            ("d", Json::num(*d as f64)),
-            ("pattern", Json::num(*pattern as f64)),
-            ("noise", Json::num(*noise)),
-            ("seed", Json::num(*seed as f64)),
-        ]),
-        JobInput::Csv { reference, query } => {
-            let mut pairs = vec![
-                ("kind", Json::str("csv")),
-                ("reference", Json::str(reference.to_string_lossy())),
-            ];
-            if let Some(query) = query {
-                pairs.push(("query", Json::str(query.to_string_lossy())));
-            }
-            Json::obj(pairs)
-        }
-        JobInput::InMemory { .. } => {
-            return Err("in-memory jobs cannot be distributed across nodes".into())
-        }
-    };
-    let mut pairs = vec![
-        ("input", input),
-        ("m", Json::num(spec.m as f64)),
-        ("mode", Json::str(spec.mode.label())),
-        ("tiles", Json::num(spec.tiles as f64)),
-        ("gpus", Json::num(spec.gpus as f64)),
-        ("priority", Json::str(spec.priority.label())),
-        ("tile_retries", Json::num(spec.tile_retries as f64)),
-    ];
-    if let Some(plan) = &spec.fault_plan {
-        pairs.push(("fault_plan", Json::str(plan.to_string())));
-    }
-    if let Some(k) = spec.tc_chunk_k {
-        pairs.push(("tc_chunk_k", Json::num(k as f64)));
-    }
-    if let Some(ms) = spec.tile_deadline_ms {
-        pairs.push(("tile_deadline_ms", Json::num(ms as f64)));
-    }
-    Ok(Json::obj(pairs))
-}
-
 /// The cluster-scope reorder buffer: park out-of-order completions in a
 /// `BTreeMap` and merge strictly in ascending tile index, each tile
 /// exactly once — the single-node driver's merge order, so the output is
@@ -478,6 +425,22 @@ pub fn run_cluster(spec: &JobSpec, cluster: &ClusterConfig) -> Result<ClusterRun
             "cluster needs at least one node".into(),
         ));
     }
+    // Pin the tensor-core chunk width here (env override, else the format
+    // default: a local run's precedence). The accumulator layout is part
+    // of the numerical contract, and nodes resolving `MDMP_TC_CHUNK_K`
+    // from their own environments could break cluster-vs-single-node
+    // bit-identity.
+    let pinned;
+    let spec = match (spec.tc_chunk_k, spec.mode.tc_input()) {
+        (None, Some(input)) => {
+            pinned = JobSpec {
+                tc_chunk_k: Some(spec.config().resolved_tc_chunk_k(input)),
+                ..spec.clone()
+            };
+            &pinned
+        }
+        _ => spec,
+    };
     let job = job_spec_json(spec).map_err(ClusterError::BadSpec)?;
     let (reference, query) = spec.materialize().map_err(ClusterError::BadSpec)?;
     let cfg = spec.config();

@@ -21,24 +21,29 @@
 //!
 //! ## Quick start
 //!
-//! Start workers (any number, any mix of machines):
+//! Start worker nodes (any number, any mix of machines); a node is a plain
+//! `mdmp serve`:
 //!
 //! ```text
-//! mdmp-cluster serve --addr 127.0.0.1:7701
-//! mdmp-cluster serve --addr 127.0.0.1:7702
+//! mdmp serve --addr 127.0.0.1:7701
+//! mdmp serve --addr 127.0.0.1:7702
 //! ```
 //!
-//! Submit a job across them:
+//! Submit a job across them with `mdmp cluster submit`, which builds its
+//! [`mdmp_service::JobSpec`] with the same parser and defaults as
+//! `mdmp submit` and calls [`run_cluster`]:
 //!
 //! ```text
-//! mdmp-cluster submit --nodes 127.0.0.1:7701,127.0.0.1:7702 \
+//! mdmp cluster submit --nodes 127.0.0.1:7701,127.0.0.1:7702 \
 //!     --n 4096 --d 4 --m 64 --mode fp16 --tiles 16
 //! ```
+//!
+//! `MDMP_WIRE=json` forces the JSON-lines transport instead of the binary
+//! frame upgrade ([`ClusterConfig::wire`]).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod cli;
 pub mod client;
 pub mod coordinator;
 pub mod lease;
@@ -46,6 +51,9 @@ pub(crate) mod sync;
 
 pub use client::{decode_tile, tile_exec_request, DecodedTile, NodeClient, NodeError};
 pub use coordinator::{
-    job_spec_json, run_cluster, ClusterConfig, ClusterError, ClusterRun, NodeReport, ReorderMerge,
+    run_cluster, ClusterConfig, ClusterError, ClusterRun, NodeReport, ReorderMerge,
 };
 pub use lease::{replay_makespan, Completion, LeaseTable, NextLease};
+/// The job wire encoder, re-exported from `mdmp-service` (its home, beside
+/// `parse_job_spec`) for the coordinator's callers.
+pub use mdmp_service::job_spec_json;

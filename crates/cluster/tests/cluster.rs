@@ -5,9 +5,14 @@
 //! precision mode, with or without nodes dying mid-job.
 
 use mdmp_cluster::{replay_makespan, run_cluster, ClusterConfig, ClusterError};
-use mdmp_core::{estimate_tile_seconds, run_with_mode, MatrixProfile};
+use mdmp_core::{estimate_tile_seconds, run_with_mode, MatrixProfile, MdmpConfig};
 use mdmp_gpu_sim::{DeviceSpec, GpuSystem};
-use mdmp_service::{serve, JobInput, JobSpec, Priority, Server, Service, ServiceConfig};
+use mdmp_precision::PrecisionMode;
+use mdmp_service::{
+    serve, JobInput, JobSpec, Json, Priority, Server, Service, ServiceConfig, WirePreference,
+};
+use std::io::{BufRead, BufReader};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -270,5 +275,51 @@ fn in_memory_jobs_are_rejected() {
     match run_cluster(&in_memory, &cluster_config(&["127.0.0.1:1".to_string()])) {
         Err(ClusterError::BadSpec(e)) => assert!(e.contains("in-memory"), "{e}"),
         other => panic!("expected BadSpec, got {other:?}"),
+    }
+}
+
+/// The `job` of the first request a node receives from `run_cluster`,
+/// read by a one-shot listener that then drops the connection (the run
+/// itself fails once its only node is quarantined).
+fn shipped_job(spec: &JobSpec) -> Json {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind listener");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let capture = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).expect("read");
+        line
+    });
+    let mut cfg = cluster_config(&[addr]);
+    cfg.wire = WirePreference::Json;
+    cfg.quarantine_threshold = 1;
+    assert!(matches!(
+        run_cluster(spec, &cfg),
+        Err(ClusterError::AllNodesDown { .. })
+    ));
+    let request = Json::parse(capture.join().expect("capture").trim()).expect("json");
+    assert_eq!(request.get("op").and_then(Json::as_str), Some("tile_exec"));
+    request.get("job").expect("job").clone()
+}
+
+/// `run_cluster` pins the tensor-core chunk width in the job it ships, so
+/// nodes never resolve `MDMP_TC_CHUNK_K` from their own environments; a
+/// width the caller chose ships as given, and vector modes ship none.
+#[test]
+fn run_cluster_ships_a_pinned_tc_chunk_width() {
+    let chunk = |job: &Json| job.get("tc_chunk_k").and_then(Json::as_u64);
+    for mode in PrecisionMode::TC_MODES {
+        let spec = spec(mode.label());
+        let input = mode.tc_input().expect("tc mode");
+        let pinned = MdmpConfig::new(spec.m, mode).resolved_tc_chunk_k(input);
+        assert_eq!(chunk(&shipped_job(&spec)), Some(pinned as u64), "{mode}");
+        let chosen = JobSpec {
+            tc_chunk_k: Some(4),
+            ..spec
+        };
+        assert_eq!(chunk(&shipped_job(&chosen)), Some(4), "{mode}");
+    }
+    for mode in ["fp32", "fp16"] {
+        assert_eq!(chunk(&shipped_job(&spec(mode))), None, "{mode}");
     }
 }

@@ -303,7 +303,10 @@ impl FromStr for PrecisionMode {
             "bf16-tc" | "bf16tc" => Ok(PrecisionMode::Bf16Tc),
             "tf32-tc" | "tf32tc" => Ok(PrecisionMode::Tf32Tc),
             other => Err(format!(
-                "unknown precision mode '{other}' (expected one of fp64, fp32, fp16, mixed, fp16c, bf16, tf32, fp16-tc, bf16-tc, tf32-tc)"
+                "unknown precision mode '{other}' (expected one of {})",
+                PrecisionMode::ALL
+                    .map(|mode| mode.label().to_ascii_lowercase())
+                    .join(", ")
             )),
         }
     }
@@ -383,6 +386,17 @@ mod tests {
                 }};
             }
             crate::dispatch_mode!(mode, run);
+        }
+    }
+
+    #[test]
+    fn parse_error_lists_every_mode_and_each_label_parses_back() {
+        let err = "fp12".parse::<PrecisionMode>().unwrap_err();
+        for mode in PrecisionMode::ALL {
+            let label = mode.label().to_ascii_lowercase();
+            assert!(err.contains(&label), "{label} missing from: {err}");
+            assert_eq!(label.parse::<PrecisionMode>(), Ok(mode));
+            assert_eq!(mode.label().parse::<PrecisionMode>(), Ok(mode));
         }
     }
 

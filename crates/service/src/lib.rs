@@ -50,7 +50,7 @@ pub use queue::{JobQueue, SubmitError};
 pub use scheduler::{Service, ServiceConfig};
 pub use server::{
     decode_index_plane_hex, decode_plane_hex, encode_index_plane_hex, encode_plane_hex,
-    parse_job_spec, request, serve, Server,
+    job_spec_json, parse_job_spec, request, serve, Server,
 };
 pub use session::{AppendReport, AppendSide, SessionId, SessionManager, SessionSummary};
 pub use wire::{

@@ -492,6 +492,67 @@ fn dispatch_binary(service: &Service, msg: Message, stop: &AtomicBool) -> Binary
     }
 }
 
+/// The wire form of a job spec, as [`parse_job_spec`] reads it back:
+/// `parse_job_spec(&job_spec_json(spec)?)` is `spec`. `max_retries` and
+/// `deadline_ms` are written only when they differ from their defaults.
+/// In-memory inputs cannot be shipped.
+pub fn job_spec_json(spec: &JobSpec) -> Result<Json, String> {
+    let input = match &spec.input {
+        JobInput::Synthetic {
+            n,
+            d,
+            pattern,
+            noise,
+            seed,
+        } => Json::obj(vec![
+            ("kind", Json::str("synthetic")),
+            ("n", Json::num(*n as f64)),
+            ("d", Json::num(*d as f64)),
+            ("pattern", Json::num(*pattern as f64)),
+            ("noise", Json::num(*noise)),
+            ("seed", Json::num(*seed as f64)),
+        ]),
+        JobInput::Csv { reference, query } => {
+            let mut pairs = vec![
+                ("kind", Json::str("csv")),
+                ("reference", Json::str(reference.to_string_lossy())),
+            ];
+            if let Some(query) = query {
+                pairs.push(("query", Json::str(query.to_string_lossy())));
+            }
+            Json::obj(pairs)
+        }
+        JobInput::InMemory { .. } => {
+            return Err("in-memory jobs cannot be distributed across nodes".into())
+        }
+    };
+    let mut pairs = vec![
+        ("input", input),
+        ("m", Json::num(spec.m as f64)),
+        ("mode", Json::str(spec.mode.label())),
+        ("tiles", Json::num(spec.tiles as f64)),
+        ("gpus", Json::num(spec.gpus as f64)),
+        ("priority", Json::str(spec.priority.label())),
+        ("tile_retries", Json::num(spec.tile_retries as f64)),
+    ];
+    if let Some(plan) = &spec.fault_plan {
+        pairs.push(("fault_plan", Json::str(plan.to_string())));
+    }
+    if let Some(k) = spec.tc_chunk_k {
+        pairs.push(("tc_chunk_k", Json::num(k as f64)));
+    }
+    if let Some(ms) = spec.tile_deadline_ms {
+        pairs.push(("tile_deadline_ms", Json::num(ms as f64)));
+    }
+    if spec.max_retries != 0 {
+        pairs.push(("max_retries", Json::num(spec.max_retries as f64)));
+    }
+    if let Some(ms) = spec.deadline_ms {
+        pairs.push(("deadline_ms", Json::num(ms as f64)));
+    }
+    Ok(Json::obj(pairs))
+}
+
 /// Parse the wire form of a job spec.
 ///
 /// ```json
@@ -1565,5 +1626,105 @@ mod tests {
 
         server.stop();
         service.shutdown(true);
+    }
+
+    /// A synthetic or CSV spec with every optional field set or unset.
+    fn wire_spec(input: JobInput, mode: PrecisionMode, optional: bool) -> JobSpec {
+        JobSpec {
+            input,
+            m: 16,
+            mode,
+            tiles: 3,
+            gpus: 2,
+            priority: Priority::Low,
+            max_retries: if optional { 3 } else { 0 },
+            fault_plan: optional.then(|| Arc::new("seed=7,kernel@0,stall@3:40".parse().unwrap())),
+            tile_retries: 4,
+            fused_rows: None,
+            tc_chunk_k: optional.then_some(8),
+            tile_deadline_ms: optional.then_some(250),
+            deadline_ms: optional.then_some(500),
+        }
+    }
+
+    #[test]
+    fn job_wire_form_round_trips_in_every_mode() {
+        let inputs = || {
+            [
+                JobInput::Synthetic {
+                    n: 300,
+                    d: 2,
+                    pattern: 1,
+                    noise: 0.125,
+                    seed: 9,
+                },
+                JobInput::Csv {
+                    reference: "/data/r.csv".into(),
+                    query: None,
+                },
+                JobInput::Csv {
+                    reference: "/data/r.csv".into(),
+                    query: Some("/data/q.csv".into()),
+                },
+            ]
+        };
+        for mode in PrecisionMode::ALL {
+            for optional in [false, true] {
+                for input in inputs() {
+                    let spec = wire_spec(input, mode, optional);
+                    let json = job_spec_json(&spec).unwrap();
+                    let decoded = parse_job_spec(&json).unwrap();
+                    assert_eq!(job_spec_json(&decoded).unwrap(), json);
+                    assert_eq!(format!("{decoded:?}"), format!("{spec:?}"));
+                }
+            }
+        }
+        let spec = wire_spec(inputs()[0].clone(), PrecisionMode::Fp16, true);
+        let decoded = parse_job_spec(&job_spec_json(&spec).unwrap()).unwrap();
+        assert_eq!(decoded.max_retries, 3);
+        assert_eq!(decoded.deadline_ms, Some(500));
+        // Defaults are not written, so they cost no bytes.
+        let plain = job_spec_json(&wire_spec(inputs()[0].clone(), PrecisionMode::Fp16, false))
+            .unwrap()
+            .to_string();
+        assert!(!plain.contains("max_retries") && !plain.contains("deadline_ms"));
+        let in_memory = JobSpec::in_memory(
+            Arc::new(MultiDimSeries::from_dims(vec![vec![0.0; 32]])),
+            Arc::new(MultiDimSeries::from_dims(vec![vec![0.0; 32]])),
+            8,
+            PrecisionMode::Fp64,
+        );
+        assert!(job_spec_json(&in_memory).is_err());
+    }
+
+    /// The exact bytes of the FP32 synthetic job the cluster benchmark
+    /// ships with every `tile_exec` request.
+    #[test]
+    fn job_wire_form_is_pinned_for_the_benchmark_spec() {
+        let spec = JobSpec {
+            input: JobInput::Synthetic {
+                n: 512,
+                d: 8,
+                pattern: 1,
+                noise: 0.3,
+                seed: 1,
+            },
+            m: 64,
+            mode: PrecisionMode::Fp32,
+            tiles: 8,
+            gpus: 1,
+            priority: Priority::Normal,
+            max_retries: 0,
+            fault_plan: None,
+            tile_retries: 2,
+            fused_rows: None,
+            tc_chunk_k: None,
+            tile_deadline_ms: None,
+            deadline_ms: None,
+        };
+        assert_eq!(
+            job_spec_json(&spec).unwrap().to_string(),
+            r#"{"input":{"kind":"synthetic","n":512,"d":8,"pattern":1,"noise":0.3,"seed":1},"m":64,"mode":"FP32","tiles":8,"gpus":1,"priority":"normal","tile_retries":2}"#
+        );
     }
 }
