@@ -23,38 +23,20 @@
 //!   modes-ext   all modes incl. BF16 / TF32 / FP8                [functional]
 //!   clamp       correlation-overshoot clamp ablation             [functional]
 //!   anytime     SCRIMP-style anytime convergence extension       [functional]
-//!   scaling     host-worker scaling of the tile pipeline,
-//!               also writes BENCH_PR4.json                       [measured]
-//!   cluster     tile-sharding throughput vs worker node count,
-//!               also writes BENCH_PR6.json                       [modelled]
 //!   tc          tensor-core GEMM modes vs the FP64 pipeline,
 //!               also writes BENCH_PR7.json                       [both]
-//!   session_multiplex
-//!               concurrent streaming sessions + incremental
-//!               append cost, also writes BENCH_PR8.json          [measured]
-//!   wire        binary frame wire protocol vs JSON lines,
-//!               also writes BENCH_PR9.json                       [measured]
 //!   all         everything above
 //!
 //! --quick shrinks the functional problem sizes (CI-friendly).
 //! Tables are printed and saved to results/*.csv.
 //! ```
 
-use mdmp_bench::experiments::{
-    accuracy, case_studies, cluster_scaling, driver_scaling, extensions, performance,
-    session_multiplex, tc, tradeoff, wire,
-};
+use mdmp_bench::experiments::{accuracy, case_studies, extensions, performance, tc, tradeoff};
 use mdmp_bench::report::{self, ExperimentTable};
 use std::time::Instant;
 
 fn emit_all(tables: Vec<ExperimentTable>) {
-    for t in &tables {
-        report::print_table(t);
-        match report::save_table(t) {
-            Ok(path) => println!("   -> saved {}", path.display()),
-            Err(e) => eprintln!("   !! could not save table: {e}"),
-        }
-    }
+    tables.iter().for_each(report::emit);
 }
 
 fn run(command: &str, quick: bool) -> bool {
@@ -79,23 +61,6 @@ fn run(command: &str, quick: bool) -> bool {
         "modes-ext" => emit_all(vec![extensions::extended_modes(quick)]),
         "clamp" => emit_all(vec![extensions::clamp_ablation(quick)]),
         "anytime" => emit_all(vec![extensions::anytime_convergence(quick)]),
-        "scaling" => {
-            let table = driver_scaling::driver_scaling(quick);
-            match driver_scaling::write_bench_json(&table, std::path::Path::new("BENCH_PR4.json")) {
-                Ok(path) => println!("   -> wrote {}", path.display()),
-                Err(e) => eprintln!("   !! could not write BENCH_PR4.json: {e}"),
-            }
-            emit_all(vec![table]);
-        }
-        "cluster" => {
-            let table = cluster_scaling::cluster_scaling(quick);
-            match cluster_scaling::write_bench_json(&table, std::path::Path::new("BENCH_PR6.json"))
-            {
-                Ok(path) => println!("   -> wrote {}", path.display()),
-                Err(e) => eprintln!("   !! could not write BENCH_PR6.json: {e}"),
-            }
-            emit_all(vec![table]);
-        }
         "tc" => {
             let table = tc::tc_sweep(quick);
             match tc::write_bench_json(&table, quick, std::path::Path::new("BENCH_PR7.json")) {
@@ -103,36 +68,6 @@ fn run(command: &str, quick: bool) -> bool {
                 Err(e) => eprintln!("   !! could not write BENCH_PR7.json: {e}"),
             }
             emit_all(vec![table]);
-        }
-        "session_multiplex" => {
-            let outcome = session_multiplex::session_multiplex(quick);
-            match session_multiplex::write_bench_json(
-                &outcome,
-                std::path::Path::new("BENCH_PR8.json"),
-            ) {
-                Ok(path) => println!("   -> wrote {}", path.display()),
-                Err(e) => eprintln!("   !! could not write BENCH_PR8.json: {e}"),
-            }
-            println!(
-                "   multiplex: {} sessions on {} threads, {:.0} appends/sec, {:.1}% reuse",
-                outcome.sessions,
-                outcome.threads,
-                outcome.appends_per_sec,
-                100.0 * outcome.reuse_ratio
-            );
-            emit_all(vec![outcome.table]);
-        }
-        "wire" => {
-            let outcome = wire::wire_bench(quick);
-            match wire::write_bench_json(&outcome, std::path::Path::new("BENCH_PR9.json")) {
-                Ok(path) => println!("   -> wrote {}", path.display()),
-                Err(e) => eprintln!("   !! could not write BENCH_PR9.json: {e}"),
-            }
-            println!(
-                "   wire: fp32 planes {:.2}x smaller than JSON, 3-node binary scaling {:.4}",
-                outcome.f32_reduction, outcome.scaling_vs_1_at_3
-            );
-            emit_all(vec![outcome.encoding, outcome.cluster]);
         }
         "all" => {
             for cmd in [
@@ -155,11 +90,7 @@ fn run(command: &str, quick: bool) -> bool {
                 "modes-ext",
                 "clamp",
                 "anytime",
-                "scaling",
-                "cluster",
                 "tc",
-                "session_multiplex",
-                "wire",
             ] {
                 println!("\n########## repro {cmd} ##########");
                 run(cmd, quick);
@@ -183,7 +114,7 @@ fn main() {
     let commands: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     if commands.is_empty() {
         eprintln!(
-            "usage: repro <fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table1|headline|utilization|multinode|schedule|modes-ext|clamp|anytime|scaling|cluster|tc|session_multiplex|wire|all> [--quick]"
+            "usage: repro <fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table1|headline|utilization|multinode|schedule|modes-ext|clamp|anytime|tc|all> [--quick]"
         );
         std::process::exit(2);
     }

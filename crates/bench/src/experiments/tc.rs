@@ -1,4 +1,4 @@
-//! PR 7: simulated tensor-core GEMM benchmark (`BENCH_PR7.json`).
+//! Simulated tensor-core GEMM benchmark (`BENCH_PR7.json`).
 //!
 //! The 16-tile acceptance workload runs once per tensor-core mode
 //! (FP16-TC / BF16-TC / TF32-TC) and once in FP64 with the classic
@@ -27,8 +27,7 @@ use mdmp_precision::{Format, PrecisionMode};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The acceptance workload's tile count (matches the driver-scaling bench
-/// and the ISSUE 7 acceptance criterion).
+/// The acceptance workload's tile count.
 const TILES: usize = 16;
 
 /// Fraction of the spec-derived FP16-TC/FP64 ratio the measured ledger
@@ -203,4 +202,29 @@ pub fn write_bench_json(table: &ExperimentTable, quick: bool, path: &Path) -> io
         ]);
     }
     report.write(path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `repro tc --quick` as a test: the sweep's spec gate holds (the
+    /// sweep panics otherwise) and every tensor-core run reports the chunk
+    /// width its input format resolves to: FP16-TC 8, BF16-TC 8 and
+    /// TF32-TC 4 unless `MDMP_TC_CHUNK_K` overrides them.
+    #[test]
+    fn quick_sweep_passes_its_spec_gate_at_the_hardware_chunk_widths() {
+        let table = tc_sweep(true);
+        let chunk = |mode: PrecisionMode| table.cell(&mode.to_string(), "chunk_k");
+        for mode in PrecisionMode::TC_MODES {
+            let input = mode.tc_input().expect("tensor-core mode");
+            let resolved = MdmpConfig::new(segment_len(true), mode).resolved_tc_chunk_k(input);
+            assert_eq!(chunk(mode), Some(resolved as f64), "{mode}");
+        }
+        if std::env::var_os("MDMP_TC_CHUNK_K").is_none() {
+            assert_eq!(chunk(PrecisionMode::Fp16Tc), Some(8.0));
+            assert_eq!(chunk(PrecisionMode::Bf16Tc), Some(8.0));
+            assert_eq!(chunk(PrecisionMode::Tf32Tc), Some(4.0));
+        }
+    }
 }

@@ -79,7 +79,7 @@ pub fn print_table(table: &ExperimentTable) {
 }
 
 /// Directory for result CSVs (created on demand): `./results`.
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir).ok();
     dir
@@ -113,7 +113,7 @@ pub fn emit(table: &ExperimentTable) {
 }
 
 /// One value in a benchmark JSON artifact, with explicit formatting so
-/// every `BENCH_PR*.json` renders numbers the same way.
+/// every field renders numbers the same way.
 #[derive(Debug, Clone)]
 pub enum BenchValue {
     /// Fixed-point float rendered with the given number of decimals.
@@ -160,16 +160,14 @@ impl BenchValue {
     }
 }
 
-/// The shared schema of the committed `BENCH_PR*.json` artifacts:
+/// The schema of the committed benchmark JSON artifact (`BENCH_PR7.json`):
 /// `benchmark`, `description`, `host_cores`, optional named extra blocks
-/// (e.g. a cross-referenced baseline), a `workload` object, and a
-/// `results` array of uniform rows. Field order is preserved as inserted.
-///
-/// Earlier PRs hand-rolled this shape per benchmark and the row schemas
-/// drifted; every new artifact must be emitted through this struct.
+/// (e.g. the device spec a gate compared against), a `workload` object,
+/// and a `results` array of uniform rows. Field order is preserved as
+/// inserted.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Benchmark identifier (`"driver_scaling"`, `"cluster_scaling"`, …).
+    /// Benchmark identifier (`"tc_modes"`).
     pub benchmark: String,
     /// Human description of what was measured and on what machine.
     pub description: String,

@@ -137,25 +137,3 @@ fn extended_modes_rank_by_mantissa_width() {
     // TF32 matches FP16 accuracy (same 11-bit significand) but not worse.
     assert!((a("TF32") - a("FP16")).abs() < 5.0);
 }
-
-#[test]
-fn driver_scaling_sweeps_workers_with_invariant_model_time() {
-    use mdmp_bench::experiments::driver_scaling;
-    let t = driver_scaling::driver_scaling(true);
-    // One row per worker count, at least {1, 2, 4}; the bench itself
-    // asserts bit-identical profiles across the sweep.
-    assert!(t.rows.len() >= 3, "sweep covers {{1, 2, 4}} workers");
-    assert_eq!(t.rows[0].0, "1", "the sweep starts at one worker");
-    let modeled_1 = t.cell("1", "modeled_s").unwrap();
-    for (label, _) in &t.rows {
-        let wall = t.cell(label, "wall_seconds").unwrap();
-        assert!(wall > 0.0, "{label}: wall {wall}");
-        let modeled = t.cell(label, "modeled_s").unwrap();
-        assert_eq!(
-            modeled.to_bits(),
-            modeled_1.to_bits(),
-            "{label} workers: modelled time must not depend on the pool"
-        );
-    }
-    assert_eq!(t.cell("1", "speedup_vs_1"), Some(1.0));
-}

@@ -10,22 +10,25 @@ mod profile_io;
 mod serve;
 
 use args::{Command, ParsedArgs};
+use std::io::{self, Write};
 
+// Usage and error text are written with the result ignored: a reader that
+// has gone away (EPIPE) must not turn exit code 2 or 1 into a panic's 101.
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() || raw[0] == "--help" || raw[0] == "help" {
-        print!("{}", commands::usage());
+        let _ = write!(io::stdout(), "{}", commands::usage());
         std::process::exit(if raw.is_empty() { 2 } else { 0 });
     }
     let parsed = match ParsedArgs::parse(&raw) {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", commands::usage());
+            let _ = writeln!(io::stderr(), "error: {e}\n\n{}", commands::usage());
             std::process::exit(2);
         }
     };
     if let Err(e) = dispatch(&parsed) {
-        eprintln!("error: {e}");
+        let _ = writeln!(io::stderr(), "error: {e}");
         std::process::exit(1);
     }
 }

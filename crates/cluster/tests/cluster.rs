@@ -201,6 +201,15 @@ fn modelled_makespan_is_the_deterministic_lease_replay() {
         let first = *first.get_or_insert(makespan.to_bits());
         assert_eq!(makespan.to_bits(), first, "run {run_index}: makespan moved");
     }
+    // Three nodes scale: the replay over the same tile prices on one node
+    // takes at least 2.4x as long (8 tiles in ceil(8/3) = 3 slots).
+    let makespan = f64::from_bits(first.expect("ten runs"));
+    let one_node = replay_makespan(&priced, 1);
+    assert!(
+        one_node >= 2.4 * makespan,
+        "3-node scaling {:.4} < 2.4",
+        one_node / makespan
+    );
 
     let (_servers, addrs) = start_nodes(3);
     let mut cluster = cluster_config(&addrs);

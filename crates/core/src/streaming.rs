@@ -152,8 +152,7 @@ impl StreamingProfile {
     /// [`StreamingProfile::new`] with incremental side caches disabled:
     /// every append recomputes its delta tile's precalculation from
     /// scratch. This is the pre-incremental behaviour, kept as the
-    /// bit-identity baseline for the equivalence suite and the
-    /// `session_multiplex` bench.
+    /// bit-identity baseline for the equivalence suite.
     pub fn new_scratch(
         reference: MultiDimSeries,
         query: MultiDimSeries,

@@ -221,11 +221,19 @@ mod tests {
         assert_eq!(r2.summary.n_query, 57 + 16);
         assert_eq!(r2.appended_segments, 16);
         assert!(r2.reused_precalc);
-        assert!(r2.reused_segments > 0);
+        // A query append reuses every cached reference segment (n_r = 89)
+        // and computes statistics only for the 16 new query segments.
+        assert_eq!(s.n_reference, 89);
+        assert_eq!(r2.reused_segments, 89);
+        assert_eq!(r2.fresh_segments, 16);
         let r3 = mgr
             .append(s.id, AppendSide::Reference, &[wave(200, 12)])
             .unwrap();
         assert_eq!(r3.summary.n_reference, s.n_reference + 12);
+        // The mirror image: the grown query side (n_q = 73) is reused and
+        // only the 12 new reference segments are fresh.
+        assert_eq!(r3.reused_segments, 73);
+        assert_eq!(r3.fresh_segments, 12);
         assert!(mgr.profile(s.id).is_some());
         assert!(mgr.close(s.id));
         assert!(!mgr.close(s.id));
