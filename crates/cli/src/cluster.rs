@@ -82,15 +82,13 @@ pub fn submit(args: &ParsedArgs) -> Result<(), String> {
         run.modelled_tiles_per_second()
     );
     println!(
-        "wire: {} sent / {} received over {}/{} binary-frame nodes",
+        "wire: {} sent / {} received",
         run.wire_bytes_sent(),
-        run.wire_bytes_received(),
-        run.binary_wire_nodes(),
-        run.nodes.len()
+        run.wire_bytes_received()
     );
     for (i, node) in run.nodes.iter().enumerate() {
         println!(
-            "node {i} {}: merged {} stolen {} failures {} device {:.6}s wire {}/{}B {}{}",
+            "node {i} {}: merged {} stolen {} failures {} device {:.6}s wire {}/{}B{}",
             node.addr,
             node.tiles_merged,
             node.tiles_stolen,
@@ -98,7 +96,6 @@ pub fn submit(args: &ParsedArgs) -> Result<(), String> {
             node.device_seconds,
             node.bytes_sent,
             node.bytes_received,
-            if node.binary_wire { "binary" } else { "json" },
             if node.quarantined { " QUARANTINED" } else { "" }
         );
     }

@@ -397,7 +397,7 @@ COMMANDS:
             [--quarantine-threshold N (3)] [--timeout-s S (60)]
             [--cluster-faults SPEC]  (nodedrop@N:S,nodekill@N:S,…)
             — shard the job's tiles across `mdmp serve` nodes and merge
-            bit-identically; $MDMP_WIRE=json forces JSON lines
+            bit-identically
   info      list devices and precision modes
 
 JOB (submit and cluster submit):

@@ -1,5 +1,5 @@
 //! The `serve`, `submit`, `status` and `stream` subcommands: run the job
-//! service behind a TCP JSON-lines endpoint and talk to it as a client.
+//! service behind its TCP endpoint and talk to it as a client.
 
 use crate::args::ParsedArgs;
 use crate::commands::device_spec;
@@ -8,8 +8,8 @@ use mdmp_data::MultiDimSeries;
 use mdmp_faults::FaultPlan;
 use mdmp_precision::PrecisionMode;
 use mdmp_service::{
-    job_spec_json, request, serve as serve_tcp, wire_preference, Chunk, JobInput, JobSpec, Json,
-    Message, Priority, Service, ServiceConfig, WireConn,
+    job_spec_json, request, serve as serve_tcp, Chunk, JobInput, JobSpec, Json, Message, Priority,
+    Service, ServiceConfig, WireConn, WirePreference,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -203,23 +203,6 @@ fn print_job(job: &Json) {
     }
 }
 
-/// A window of a series as the JSON wire form: one array of samples per
-/// dimension.
-fn samples_json(series: &MultiDimSeries, start: usize, len: usize) -> Json {
-    Json::Arr(
-        (0..series.dims())
-            .map(|k| {
-                Json::Arr(
-                    series.dim(k)[start..start + len]
-                        .iter()
-                        .map(|&v| Json::num(v))
-                        .collect(),
-                )
-            })
-            .collect(),
-    )
-}
-
 /// A window of a series as binary chunks: one float chunk per dimension,
 /// appended to `out`.
 fn samples_chunks(series: &MultiDimSeries, start: usize, len: usize, out: &mut Vec<Chunk>) {
@@ -261,31 +244,20 @@ pub fn stream(args: &ParsedArgs) -> CmdResult {
     };
     let initial = initial.clamp(m, query.len());
 
-    // One persistent connection for the whole session; binary frames when
-    // the server accepts the upgrade (MDMP_WIRE=json forces JSON lines).
-    let mut conn = WireConn::connect(&addr, None, wire_preference()).map_err(err)?;
-    let open = if conn.is_binary() {
-        let mut chunks = Vec::with_capacity(reference.dims() + query.dims());
-        samples_chunks(&reference, 0, reference.len(), &mut chunks);
-        samples_chunks(&query, 0, initial, &mut chunks);
-        Message {
-            json: Json::obj(vec![
-                ("op", Json::str("stream_open")),
-                ("m", Json::num(m as f64)),
-                ("mode", Json::str(mode)),
-                ("reference_chunks", Json::num(reference.dims() as f64)),
-                ("query_chunks", Json::num(query.dims() as f64)),
-            ]),
-            chunks,
-        }
-    } else {
-        Message::json(Json::obj(vec![
+    // One persistent binary-frame connection for the whole session.
+    let mut conn = WireConn::connect(&addr, None, WirePreference::Auto).map_err(err)?;
+    let mut chunks = Vec::with_capacity(reference.dims() + query.dims());
+    samples_chunks(&reference, 0, reference.len(), &mut chunks);
+    samples_chunks(&query, 0, initial, &mut chunks);
+    let open = Message {
+        json: Json::obj(vec![
             ("op", Json::str("stream_open")),
             ("m", Json::num(m as f64)),
             ("mode", Json::str(mode)),
-            ("reference", samples_json(&reference, 0, reference.len())),
-            ("query", samples_json(&query, 0, initial)),
-        ]))
+            ("reference_chunks", Json::num(reference.dims() as f64)),
+            ("query_chunks", Json::num(query.dims() as f64)),
+        ]),
+        chunks,
     };
     let response = stream_request(&mut conn, &open)?;
     let session = response
@@ -294,8 +266,7 @@ pub fn stream(args: &ParsedArgs) -> CmdResult {
         .and_then(Json::as_u64)
         .ok_or("malformed response: no session id")?;
     println!(
-        "session {session} open ({} wire): {} reference segments, {} of {} query samples",
-        if conn.is_binary() { "binary" } else { "json" },
+        "session {session} open: {} reference segments, {} of {} query samples",
         reference.len() + 1 - m,
         initial,
         query.len()
@@ -304,25 +275,16 @@ pub fn stream(args: &ParsedArgs) -> CmdResult {
     let mut at = initial;
     while at < query.len() {
         let len = chunk.min(query.len() - at);
-        let append = if conn.is_binary() {
-            let mut chunks = Vec::with_capacity(query.dims());
-            samples_chunks(&query, at, len, &mut chunks);
-            Message {
-                json: Json::obj(vec![
-                    ("op", Json::str("stream_append")),
-                    ("session", Json::num(session as f64)),
-                    ("side", Json::str("query")),
-                    ("samples_chunks", Json::num(query.dims() as f64)),
-                ]),
-                chunks,
-            }
-        } else {
-            Message::json(Json::obj(vec![
+        let mut chunks = Vec::with_capacity(query.dims());
+        samples_chunks(&query, at, len, &mut chunks);
+        let append = Message {
+            json: Json::obj(vec![
                 ("op", Json::str("stream_append")),
                 ("session", Json::num(session as f64)),
                 ("side", Json::str("query")),
-                ("samples", samples_json(&query, at, len)),
-            ]))
+                ("samples_chunks", Json::num(query.dims() as f64)),
+            ]),
+            chunks,
         };
         let response = stream_request(&mut conn, &append)?;
         at += len;

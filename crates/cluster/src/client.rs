@@ -1,14 +1,10 @@
 //! One node's client half of the tile-lease protocol: a persistent TCP
 //! connection to an `mdmp-service` worker, reconnected on demand. Each
-//! connection negotiates the binary frame upgrade (DESIGN.md §15) and
-//! falls back to JSON lines against old workers or under
-//! `MDMP_WIRE=json`; tile result planes decode bit-exactly from either
-//! transport — binary chunks, or the hex `f64`/`i64` encodings.
+//! connection negotiates the binary frame upgrade (DESIGN.md §15); a
+//! worker that declines it fails the connect. Tile result planes arrive
+//! as frame chunks and decode bit-exactly.
 
-use mdmp_service::{
-    decode_index_plane_hex, decode_plane_hex, wire_preference, Chunk, Json, Message, WireConn,
-    WireError, WirePreference,
-};
+use mdmp_service::{Chunk, Json, Message, WireConn, WireError, WirePreference};
 use std::time::Duration;
 
 /// One decoded tile result from a worker: the tile's identity in the
@@ -58,45 +54,35 @@ impl std::fmt::Display for NodeError {
 pub struct NodeClient {
     addr: String,
     timeout: Duration,
-    prefer: WirePreference,
     conn: Option<WireConn>,
     killed: bool,
     bytes_sent: u64,
     bytes_received: u64,
-    binary_wire: bool,
 }
 
 impl NodeClient {
     /// A client for the worker at `addr`; `timeout` bounds each reply
-    /// read (a node that overruns it is treated as failed). The wire
-    /// transport follows the process-wide [`wire_preference`].
+    /// read (a node that overruns it is treated as failed).
     pub fn new(addr: &str, timeout: Duration) -> NodeClient {
-        NodeClient::with_wire(addr, timeout, wire_preference())
-    }
-
-    /// A client with an explicit transport preference.
-    pub fn with_wire(addr: &str, timeout: Duration, prefer: WirePreference) -> NodeClient {
         NodeClient {
             addr: addr.to_string(),
             timeout,
-            prefer,
             conn: None,
             killed: false,
             bytes_sent: 0,
             bytes_received: 0,
-            binary_wire: false,
         }
+    }
+
+    /// [`NodeClient::new`]; the transport preference has one value, and
+    /// the benchmark harness names it.
+    pub fn with_wire(addr: &str, timeout: Duration, _prefer: WirePreference) -> NodeClient {
+        NodeClient::new(addr, timeout)
     }
 
     /// The node's address.
     pub fn addr(&self) -> &str {
         &self.addr
-    }
-
-    /// Whether the most recent connection negotiated the binary frame
-    /// upgrade.
-    pub fn is_binary(&self) -> bool {
-        self.binary_wire
     }
 
     /// Bytes this client has written to the node across all connections.
@@ -141,9 +127,8 @@ impl NodeClient {
             return Err(NodeError::Io(format!("node {} is killed", self.addr)));
         }
         if self.conn.is_none() {
-            let conn = WireConn::connect(&self.addr, Some(self.timeout), self.prefer)
+            let conn = WireConn::connect(&self.addr, Some(self.timeout), WirePreference::Auto)
                 .map_err(|e| NodeError::Io(format!("connect {}: {e}", self.addr)))?;
-            self.binary_wire = conn.is_binary();
             self.conn = Some(conn);
         }
         match self.conn.as_mut() {
@@ -163,7 +148,7 @@ impl NodeClient {
                 self.drop_conn();
                 Err(NodeError::Io(format!("request: {e}")))
             }
-            Err(e @ (WireError::Desync(_) | WireError::Corrupt(_))) => {
+            Err(e) => {
                 // The response stream is unreliable; resynchronize by
                 // reconnecting.
                 self.drop_conn();
@@ -233,27 +218,21 @@ pub fn tile_exec_request(job: &Json, tile: usize) -> Json {
     ])
 }
 
-fn take_chunk(
-    entry: &Json,
-    chunks: &mut [Option<Chunk>],
-    field: &str,
-) -> Result<Option<Chunk>, String> {
-    let Some(index) = entry.get(field).and_then(Json::as_u64) else {
-        return Ok(None);
-    };
+fn take_chunk(entry: &Json, chunks: &mut [Option<Chunk>], field: &str) -> Result<Chunk, String> {
+    let index = entry
+        .get(field)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("tile entry missing numeric '{field}'"))?;
     let slot = chunks
         .get_mut(index as usize)
         .ok_or_else(|| format!("'{field}' points past the frame's chunks"))?;
     slot.take()
-        .map(Some)
         .ok_or_else(|| format!("'{field}' reuses an already-consumed chunk"))
 }
 
 /// Decode one entry of a `tile_exec` reply's `tiles` array. `chunks` are
-/// the reply frame's chunk slots (empty on a JSON-lines reply); each
-/// `p_chunk`/`i_chunk` reference consumes its slot. The JSON forms —
-/// `p_hex`/`i_hex`, and the pre-PR9 `i` number array — decode from the
-/// entry itself.
+/// the reply frame's chunk slots; each `p_chunk`/`i_chunk` reference
+/// consumes its slot.
 pub fn decode_tile(entry: &Json, chunks: &mut [Option<Chunk>]) -> Result<DecodedTile, String> {
     let field = |name: &str| -> Result<u64, String> {
         entry
@@ -269,15 +248,8 @@ pub fn decode_tile(entry: &Json, chunks: &mut [Option<Chunk>]) -> Result<Decoded
         .checked_mul(dims)
         .ok_or_else(|| "tile plane size overflows".to_string())?;
     let p = match take_chunk(entry, chunks, "p_chunk")? {
-        Some(Chunk::F64(plane)) => plane,
-        Some(Chunk::I64(_)) => return Err("'p_chunk' names an index chunk".into()),
-        None => {
-            let p_hex = entry
-                .get("p_hex")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "tile entry missing 'p_chunk'/'p_hex'".to_string())?;
-            decode_plane_hex(p_hex, len)?
-        }
+        Chunk::F64(plane) => plane,
+        Chunk::I64(_) => return Err("'p_chunk' names an index chunk".into()),
     };
     if p.len() != len {
         return Err(format!(
@@ -286,28 +258,8 @@ pub fn decode_tile(entry: &Json, chunks: &mut [Option<Chunk>]) -> Result<Decoded
         ));
     }
     let i = match take_chunk(entry, chunks, "i_chunk")? {
-        Some(Chunk::I64(plane)) => plane,
-        Some(Chunk::F64(_)) => return Err("'i_chunk' names a float chunk".into()),
-        None => {
-            if let Some(i_hex) = entry.get("i_hex").and_then(Json::as_str) {
-                decode_index_plane_hex(i_hex, len)?
-            } else {
-                // Pre-PR9 workers ship the index plane as a JSON number
-                // array; keep decoding it so mixed-version clusters work.
-                let raw_i = entry
-                    .get("i")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| "tile entry missing 'i_chunk'/'i_hex'/'i'".to_string())?;
-                let mut i = Vec::with_capacity(raw_i.len());
-                for v in raw_i {
-                    let x = v
-                        .as_f64()
-                        .ok_or_else(|| "index plane entries must be numbers".to_string())?;
-                    i.push(x as i64);
-                }
-                i
-            }
-        }
+        Chunk::I64(plane) => plane,
+        Chunk::F64(_) => return Err("'i_chunk' names a float chunk".into()),
     };
     if i.len() != len {
         return Err(format!(

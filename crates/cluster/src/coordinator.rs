@@ -37,7 +37,7 @@ use crate::sync;
 use mdmp_core::{job_tile_count, MatrixProfile};
 use mdmp_faults::{ClusterFaultPlan, NodeFaultKind};
 use mdmp_gpu_sim::DeviceHealth;
-use mdmp_service::{job_spec_json, wire_preference, JobSpec, Json, WirePreference};
+use mdmp_service::{job_spec_json, JobSpec, Json, WirePreference};
 use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -55,8 +55,9 @@ pub struct ClusterConfig {
     pub request_timeout: Duration,
     /// Injected cluster-scope faults (tests and chaos benches).
     pub fault_plan: ClusterFaultPlan,
-    /// Wire transport preference for node connections: negotiate the
-    /// binary frame upgrade (DESIGN.md §15), or force JSON lines.
+    /// Wire transport for node connections. Its one value negotiates the
+    /// binary frame upgrade (DESIGN.md §15); the field survives only
+    /// because the benchmark harness sets it.
     pub wire: WirePreference,
 }
 
@@ -68,7 +69,7 @@ impl ClusterConfig {
             quarantine_threshold: 3,
             request_timeout: Duration::from_secs(60),
             fault_plan: ClusterFaultPlan::new(),
-            wire: wire_preference(),
+            wire: WirePreference::Auto,
         }
     }
 }
@@ -98,8 +99,8 @@ pub struct NodeReport {
     pub bytes_sent: u64,
     /// Bytes the coordinator read from this node, across reconnects.
     pub bytes_received: u64,
-    /// Whether the node's last connection negotiated the binary frame
-    /// upgrade.
+    /// Always true: every node connection speaks binary frames. Kept for
+    /// the benchmark harness, which checks it.
     pub binary_wire: bool,
 }
 
@@ -117,14 +118,13 @@ impl NodeReport {
             quarantined: false,
             bytes_sent: 0,
             bytes_received: 0,
-            binary_wire: false,
+            binary_wire: true,
         }
     }
 
     fn absorb_wire(&mut self, client: &NodeClient) {
         self.bytes_sent = client.bytes_sent();
         self.bytes_received = client.bytes_received();
-        self.binary_wire = client.is_binary();
     }
 }
 
@@ -168,11 +168,6 @@ impl ClusterRun {
     /// Total bytes the coordinator read from nodes.
     pub fn wire_bytes_received(&self) -> u64 {
         self.nodes.iter().map(|n| n.bytes_received).sum()
-    }
-
-    /// Nodes whose last connection used the binary frame transport.
-    pub fn binary_wire_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.binary_wire).count()
     }
 
     /// Indices of nodes that were quarantined.
@@ -223,7 +218,7 @@ impl ClusterRun {
             out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
         }
         type NodeSeries = fn(&NodeReport) -> String;
-        let series: [(&str, NodeSeries); 8] = [
+        let series: [(&str, NodeSeries); 7] = [
             ("mdmp_cluster_node_tiles_merged_total", |n| {
                 n.tiles_merged.to_string()
             }),
@@ -244,9 +239,6 @@ impl ClusterRun {
             }),
             ("mdmp_cluster_node_wire_bytes_received_total", |n| {
                 n.bytes_received.to_string()
-            }),
-            ("mdmp_cluster_node_wire_binary", |n| {
-                u8::from(n.binary_wire).to_string()
             }),
         ];
         for (name, value_of) in series {
@@ -409,7 +401,6 @@ struct Shared {
     plan: ClusterFaultPlan,
     threshold: u32,
     timeout: Duration,
-    wire: WirePreference,
 }
 
 /// How long a node with nothing claimable waits before re-checking the
@@ -459,7 +450,6 @@ pub fn run_cluster(spec: &JobSpec, cluster: &ClusterConfig) -> Result<ClusterRun
         plan: cluster.fault_plan.clone(),
         threshold: cluster.quarantine_threshold.max(1),
         timeout: cluster.request_timeout,
-        wire: cluster.wire,
     });
 
     let (tx, rx) = mpsc::channel::<DecodedTile>();
@@ -550,7 +540,7 @@ fn node_loop(
     tx: &mpsc::Sender<DecodedTile>,
 ) -> NodeReport {
     let mut report = NodeReport::new(addr);
-    let mut client = NodeClient::with_wire(addr, shared.timeout, shared.wire);
+    let mut client = NodeClient::new(addr, shared.timeout);
     let mut seq = 0u64;
     let mut consecutive = 0u32;
     loop {

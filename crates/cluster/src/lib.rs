@@ -4,7 +4,7 @@
 //! The paper's tile driver partitions the matrix-profile computation into
 //! independent, restart-bounded tiles — exactly the unit of work a cluster
 //! scheduler wants. This crate shards one job's tiles across N worker
-//! nodes over the existing JSON-lines TCP protocol (`tile_exec` requests),
+//! nodes over the service's binary frame protocol (`tile_exec` requests),
 //! steals tiles from straggler nodes when a faster node drains its shard,
 //! quarantines nodes that fail (connection drop, deadline overrun,
 //! repeated tile errors) via the same health-ledger machinery that
@@ -37,9 +37,6 @@
 //! mdmp cluster submit --nodes 127.0.0.1:7701,127.0.0.1:7702 \
 //!     --n 4096 --d 4 --m 64 --mode fp16 --tiles 16
 //! ```
-//!
-//! `MDMP_WIRE=json` forces the JSON-lines transport instead of the binary
-//! frame upgrade ([`ClusterConfig::wire`]).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -9,9 +9,9 @@ use mdmp_core::{estimate_tile_seconds, run_with_mode, MatrixProfile, MdmpConfig}
 use mdmp_gpu_sim::{DeviceSpec, GpuSystem};
 use mdmp_precision::PrecisionMode;
 use mdmp_service::{
-    serve, JobInput, JobSpec, Json, Priority, Server, Service, ServiceConfig, WirePreference,
+    serve, FrameCodec, JobInput, JobSpec, Json, Priority, Server, Service, ServiceConfig,
 };
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
@@ -288,25 +288,41 @@ fn in_memory_jobs_are_rejected() {
 }
 
 /// The `job` of the first request a node receives from `run_cluster`,
-/// read by a one-shot listener that then drops the connection (the run
-/// itself fails once its only node is quarantined).
+/// read by a one-shot listener that answers the wire upgrade, reads one
+/// frame and then drops the connection (the run itself fails once its
+/// only node is quarantined).
 fn shipped_job(spec: &JobSpec) -> Json {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind listener");
     let addr = listener.local_addr().expect("addr").to_string();
     let capture = std::thread::spawn(move || {
         let (stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut line = String::new();
-        BufReader::new(stream).read_line(&mut line).expect("read");
-        line
+        reader.read_line(&mut line).expect("read upgrade");
+        let upgrade = Json::parse(line.trim()).expect("json");
+        assert_eq!(
+            upgrade.get("op").and_then(Json::as_str),
+            Some("wire_upgrade")
+        );
+        let reply = Json::obj(vec![
+            ("ok", Json::Bool(true)),
+            ("wire", Json::str("binary")),
+            ("version", Json::num(1.0)),
+        ]);
+        writeln!(&stream, "{reply}").expect("answer upgrade");
+        let (request, _) = FrameCodec::new()
+            .read(&mut reader)
+            .expect("read frame")
+            .expect("frame");
+        request.json
     });
     let mut cfg = cluster_config(&[addr]);
-    cfg.wire = WirePreference::Json;
     cfg.quarantine_threshold = 1;
     assert!(matches!(
         run_cluster(spec, &cfg),
         Err(ClusterError::AllNodesDown { .. })
     ));
-    let request = Json::parse(capture.join().expect("capture").trim()).expect("json");
+    let request = capture.join().expect("capture");
     assert_eq!(request.get("op").and_then(Json::as_str), Some("tile_exec"));
     request.get("job").expect("job").clone()
 }

@@ -1,13 +1,18 @@
-//! Transport parity at cluster scope: a coordinator forced onto JSON
-//! lines and one negotiating the binary frame upgrade must merge
-//! **bit-identical** profiles from the same nodes — and the binary run
-//! must move materially fewer bytes.
+//! Transport parity at cluster scope: a coordinator on the binary frame
+//! transport must merge **bit-identical** profiles to a single-node run,
+//! with its narrow planes reaching the coordinator narrow — and a node
+//! that declines the frame upgrade must be a client error, not a silent
+//! fallback.
 
-use mdmp_cluster::{run_cluster, ClusterConfig};
+use mdmp_cluster::{run_cluster, ClusterConfig, NodeClient, NodeError};
 use mdmp_core::{run_with_mode, MatrixProfile};
 use mdmp_gpu_sim::{DeviceSpec, GpuSystem};
-use mdmp_service::WirePreference;
-use mdmp_service::{serve, JobInput, JobSpec, Priority, Server, Service, ServiceConfig};
+use mdmp_service::{
+    job_spec_json, serve, JobInput, JobSpec, Json, Priority, Server, Service, ServiceConfig,
+    WireConn, WireError, WirePreference,
+};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,59 +83,90 @@ fn assert_bit_identical(a: &MatrixProfile, b: &MatrixProfile, what: &str) {
     }
 }
 
-fn config(addrs: &[String], wire: WirePreference) -> ClusterConfig {
+fn config(addrs: &[String]) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(addrs.to_vec());
     cfg.request_timeout = Duration::from_secs(30);
-    cfg.wire = wire;
     cfg
 }
 
-/// JSON and binary transports merge bit-identical profiles, both equal to
-/// the single-node ground truth, in the wide, narrow-float and half
-/// precision modes — and the binary run moves less than half the bytes.
+/// Binary cluster runs merge profiles bit-identical to the single-node
+/// ground truth in the wide, narrow-float and half precision modes. Each
+/// run receives fewer bytes than its planes would take as 16-char hex
+/// cells, and narrower modes receive fewer bytes.
 #[test]
-fn binary_and_json_transports_merge_bit_identically() {
+fn binary_cluster_merges_bit_identically_to_single_node() {
     let (_servers, addrs) = start_nodes(2);
+    let mut received = Vec::new();
     for mode in ["fp64", "fp32", "fp16"] {
         let spec = spec(mode);
         let local = single_node_profile(&spec);
-        let json_run = run_cluster(&spec, &config(&addrs, WirePreference::Json))
-            .unwrap_or_else(|e| panic!("json cluster run in {mode}: {e}"));
-        let bin_run = run_cluster(&spec, &config(&addrs, WirePreference::Auto))
+        let run = run_cluster(&spec, &config(&addrs))
             .unwrap_or_else(|e| panic!("binary cluster run in {mode}: {e}"));
-        assert_bit_identical(&json_run.profile, &local, &format!("{mode} json"));
-        assert_bit_identical(&bin_run.profile, &local, &format!("{mode} binary"));
+        assert_bit_identical(&run.profile, &local, &format!("{mode} binary"));
+        let hex_bytes = 32 * (local.n_query() * local.dims()) as u64;
+        let bytes = run.wire_bytes_received();
         assert!(
-            json_run.nodes.iter().all(|n| !n.binary_wire),
-            "{mode}: forced-JSON run must not negotiate frames"
+            bytes < hex_bytes,
+            "{mode}: binary moved {bytes} B vs {hex_bytes} B of hex planes"
         );
-        assert_eq!(
-            bin_run.binary_wire_nodes(),
-            addrs.len(),
-            "{mode}: every node must accept the upgrade"
-        );
-        let json_bytes = json_run.wire_bytes_received();
-        let bin_bytes = bin_run.wire_bytes_received();
-        assert!(
-            bin_bytes * 2 < json_bytes,
-            "{mode}: binary moved {bin_bytes} B vs JSON {json_bytes} B"
-        );
+        received.push(bytes);
     }
+    assert!(
+        received[0] > received[1] && received[1] > received[2],
+        "fp64 > fp32 > fp16 received bytes: {received:?}"
+    );
 }
 
-/// Node loss on the binary transport behaves exactly as on JSON: the
-/// kill is contained, tiles re-dispatch, and the merged profile stays
-/// bit-identical.
+/// Node loss on the binary transport is contained: tiles re-dispatch, and
+/// the merged profile stays bit-identical.
 #[test]
 fn node_kill_on_binary_wire_stays_bit_identical() {
     let (_servers, addrs) = start_nodes(3);
     let spec = spec("fp32");
     let local = single_node_profile(&spec);
-    let mut cluster = config(&addrs, WirePreference::Auto);
+    let mut cluster = config(&addrs);
     // Request 0 is node 1's granted first lease, so the kill always fires.
     cluster.fault_plan = "nodekill@1:0".parse().expect("fault plan");
     let run = run_cluster(&spec, &cluster).expect("cluster run");
     assert_bit_identical(&run.profile, &local, "fp32 binary with node loss");
     assert_eq!(run.quarantined_nodes(), vec![1]);
     assert!(run.redispatches >= 1);
+}
+
+/// A peer that answers `wire_upgrade` with `ok:false` fails the connect
+/// of both the bare connection and the cluster's node client.
+#[test]
+fn declined_upgrade_is_a_client_error() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind listener");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let peer = std::thread::spawn(move || {
+        for _ in 0..2 {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut line = String::new();
+            BufReader::new(stream.try_clone().expect("clone"))
+                .read_line(&mut line)
+                .expect("read upgrade");
+            let request = Json::parse(line.trim()).expect("json");
+            assert_eq!(
+                request.get("op").and_then(Json::as_str),
+                Some("wire_upgrade")
+            );
+            let reply = Json::obj(vec![
+                ("ok", Json::Bool(false)),
+                ("error", Json::str("unsupported wire version 1")),
+            ]);
+            writeln!(&stream, "{reply}").expect("answer");
+        }
+    });
+    match WireConn::connect(&addr, Some(Duration::from_secs(30)), WirePreference::Auto) {
+        Err(WireError::Declined(e)) => assert!(e.contains("unsupported"), "{e}"),
+        other => panic!("expected a declined upgrade, got {other:?}"),
+    }
+    let mut client = NodeClient::new(&addr, Duration::from_secs(30));
+    let job = job_spec_json(&spec("fp32")).expect("job");
+    match client.exec_tile(&job, 0) {
+        Err(NodeError::Io(e)) => assert!(e.contains("declined"), "{e}"),
+        other => panic!("expected a connect error, got {other:?}"),
+    }
+    peer.join().expect("peer");
 }

@@ -21,10 +21,11 @@
 //! - **Metrics** ([`MetricsRegistry`]): counters, gauges and latency
 //!   histograms, exposed as a structured [`ServiceStats`] snapshot and a
 //!   Prometheus-style text page.
-//! - **TCP front end** ([`serve`]): a JSON-lines protocol over
-//!   `std::net`, one request/response object per line, upgradable
-//!   per-connection to the checksummed binary frame protocol in
-//!   [`wire`] for bulk plane payloads.
+//! - **TCP front end** ([`serve`]): JSON lines over `std::net` for the
+//!   handshake and control ops, one request/response object per line;
+//!   bulk planes (`tile_exec`, `stream_open`, `stream_append`) only on the
+//!   checksummed binary frames in [`wire`], after a per-connection
+//!   upgrade.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -48,12 +49,6 @@ pub use pool::DevicePool;
 pub use proto::Json;
 pub use queue::{JobQueue, SubmitError};
 pub use scheduler::{Service, ServiceConfig};
-pub use server::{
-    decode_index_plane_hex, decode_plane_hex, encode_index_plane_hex, encode_plane_hex,
-    job_spec_json, parse_job_spec, request, serve, Server,
-};
+pub use server::{job_spec_json, parse_job_spec, request, serve, Server};
 pub use session::{AppendReport, AppendSide, SessionId, SessionManager, SessionSummary};
-pub use wire::{
-    narrowest_width, wire_preference, Chunk, FrameCodec, Message, WireConn, WireError,
-    WirePreference,
-};
+pub use wire::{narrowest_width, Chunk, FrameCodec, Message, WireConn, WireError, WirePreference};

@@ -1,9 +1,10 @@
-//! The TCP front end: a JSON-lines protocol over `std::net` — one request
-//! object per line in, one response object per line out, connections
-//! served by one thread each.
+//! The TCP front end: JSON lines for the handshake and the control ops,
+//! binary frames for bulk planes, connections served by one thread each.
 //!
-//! Every request carries an `"op"`; every response carries `"ok"` (bool)
-//! plus either the op's payload or an `"error"` string. Ops:
+//! A connection starts on JSON lines: one request object per line in
+//! (at most [`MAX_LINE_BYTES`]), one response object per line out. Every
+//! request carries an `"op"`; every response carries `"ok"` (bool) plus
+//! either the op's payload or an `"error"` string. Ops:
 //!
 //! | op              | request fields                                         |
 //! |-----------------|--------------------------------------------------------|
@@ -14,31 +15,31 @@
 //! | `cancel`        | `id`                                                   |
 //! | `stats`         | —                                                      |
 //! | `metrics`       | — (returns the Prometheus text page as a string)       |
-//! | `stream_open`   | `m`, `mode`, `reference`, `query` (arrays of arrays)   |
-//! | `stream_append` | `session`, `side`, `samples` (array per dimension)     |
 //! | `stream_status` | `session`                                              |
 //! | `stream_close`  | `session`                                              |
-//! | `tile_exec`     | `job` object, `tiles` (array of tile indices)          |
 //! | `wire_upgrade`  | `version` — switch the connection to binary frames     |
 //! | `shutdown`      | optional `drain` (default true)                        |
+//! | `stream_open`   | frames: `m`, `mode`, `reference_chunks`[, `query_chunks`] |
+//! | `stream_append` | frames: `session`, `side`, `samples_chunks`            |
+//! | `tile_exec`     | frames: `job` object, `tiles` (array of tile indices)  |
+//!
+//! After a `wire_upgrade` (DESIGN.md §15, [`crate::wire`]) every op is
+//! served on frames. The three bulk ops are served on frames only: sent
+//! as a JSON line they get a typed error, and the connection keeps
+//! serving control ops. Streaming series ride as one float chunk per
+//! dimension, counted by `reference_chunks`/`query_chunks`/
+//! `samples_chunks`.
 //!
 //! `tile_exec` is the worker half of the cluster tile-lease protocol
 //! (DESIGN.md §12): it executes the listed tiles of the job synchronously
-//! and returns one entry per tile with the partial profile planes. On the
-//! JSON transport value planes travel as hex-encoded `f64` bit patterns
-//! ([`encode_plane_hex`]) because JSON has no `+Inf` and the unset
-//! sentinel must survive the trip bit-exactly; index planes use the same
-//! cell shape ([`encode_index_plane_hex`]). After a `wire_upgrade`
-//! (DESIGN.md §15, [`crate::wire`]) both planes instead ride as binary
-//! chunks referenced by `p_chunk`/`i_chunk` indices, and streaming series
-//! ride as one chunk per dimension counted by `reference_chunks`/
-//! `query_chunks`/`samples_chunks`.
+//! and returns one entry per tile whose k-major value and index planes
+//! ride as the chunks its `p_chunk`/`i_chunk` fields name, bit-exactly.
 
 use crate::job::{JobInput, JobOutcome, JobSpec, JobStatus, Priority};
 use crate::proto::Json;
 use crate::scheduler::Service;
 use crate::session::{AppendSide, SessionSummary};
-use crate::wire::{Chunk, FrameCodec, Message, WireError, MAX_FRAME_BYTES, WIRE_VERSION};
+use crate::wire::{Chunk, FrameCodec, Message, WireError, WIRE_VERSION};
 use mdmp_core::MdmpConfig;
 use mdmp_data::MultiDimSeries;
 use mdmp_faults::FaultPlan;
@@ -48,6 +49,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Cap on one JSON request line, newline included. Only the handshake and
+/// control ops travel as lines, and the largest of them, a `submit` job
+/// spec, is well under 1 KB; bulk payloads ride on frames, which have
+/// their own cap ([`crate::wire::MAX_FRAME_BYTES`]).
+pub const MAX_LINE_BYTES: usize = 64 << 10;
 
 /// A running TCP front end.
 pub struct Server {
@@ -100,8 +107,8 @@ impl Drop for Server {
     }
 }
 
-/// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve the JSON-lines protocol on
-/// it until [`Server::stop`] or service shutdown.
+/// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve the protocol on it
+/// until [`Server::stop`] or service shutdown.
 pub fn serve(service: Arc<Service>, addr: &str) -> io::Result<Server> {
     let listener = TcpListener::bind(addr)?;
     let local_addr = listener.local_addr()?;
@@ -171,13 +178,13 @@ fn handle_connection(
     let mut reader = BufReader::new(stream);
     let mut buf = Vec::new();
     loop {
-        let line = match read_request_line(&mut reader, &mut buf, MAX_FRAME_BYTES)? {
+        let line = match read_request_line(&mut reader, &mut buf, MAX_LINE_BYTES)? {
             RequestLine::Eof => return Ok(()),
             RequestLine::TooLong => {
                 // The rest of the line is still in flight; there is no
                 // request boundary left to resynchronize on.
                 let response = error_response(&format!(
-                    "request line exceeds the {MAX_FRAME_BYTES}-byte cap"
+                    "request line exceeds the {MAX_LINE_BYTES}-byte cap"
                 ));
                 return write_json_line(service, &mut writer, &response, "invalid");
             }
@@ -315,16 +322,17 @@ fn serve_binary(
                 // EOF mid-frame or a dead socket: nothing to answer on.
                 return Err(e);
             }
-            Err(WireError::Desync(e)) => {
-                service.metrics.wire_frame_errors.inc();
-                let reply = Message::json(error_response(&format!("framing lost: {e}")));
-                let _ = write_frame(service, &mut codec, writer, &reply, "invalid");
-                return Ok(());
-            }
             Err(WireError::Corrupt(e)) => {
                 service.metrics.wire_frame_errors.inc();
                 let reply = Message::json(error_response(&format!("corrupt frame: {e}")));
                 write_frame(service, &mut codec, writer, &reply, "invalid")?;
+            }
+            Err(lost) => {
+                // `Desync`: the reply reads "framing lost: …".
+                service.metrics.wire_frame_errors.inc();
+                let reply = Message::json(error_response(&lost.to_string()));
+                let _ = write_frame(service, &mut codec, writer, &reply, "invalid");
+                return Ok(());
             }
             Ok(Some((msg, frame_bytes))) => {
                 let label = op_label(Some(&msg.json));
@@ -441,8 +449,9 @@ fn dispatch(service: &Service, request: &Json, stop: &AtomicBool) -> Reply {
         },
         "stats" => ok_response(vec![("stats", stats_json(service))]),
         "metrics" => ok_response(vec![("text", Json::str(service.metrics_text()))]),
-        "stream_open" => stream_open(service, request),
-        "stream_append" => stream_append(service, request),
+        "stream_open" | "stream_append" | "tile_exec" => error_response(&format!(
+            "{op} needs binary frames (send wire_upgrade first)"
+        )),
         "stream_status" => match request.get("session").and_then(Json::as_u64) {
             None => error_response("missing numeric 'session'"),
             Some(id) => match service.sessions.summary(id) {
@@ -454,7 +463,6 @@ fn dispatch(service: &Service, request: &Json, stop: &AtomicBool) -> Reply {
             None => error_response("missing numeric 'session'"),
             Some(id) => ok_response(vec![("closed", Json::Bool(service.stream_close(id)))]),
         },
-        "tile_exec" => tile_exec(service, request),
         "shutdown" => {
             let drain = request.get("drain").and_then(Json::as_bool).unwrap_or(true);
             stop.store(true, Ordering::SeqCst);
@@ -472,19 +480,15 @@ enum BinaryReply {
     Drop,
 }
 
-/// Dispatch one decoded frame. Bulk ops (`tile_exec`, `stream_open`,
-/// `stream_append`) get chunk-aware handling; everything else reuses the
-/// JSON dispatch wrapped in a chunkless frame. Takes the message by value
-/// so chunk planes move instead of copying.
+/// Dispatch one decoded frame. The bulk ops (`tile_exec`, `stream_open`,
+/// `stream_append`) are served here; the control ops reuse [`dispatch`]
+/// wrapped in a chunkless frame. Takes the message by value so chunk
+/// planes move instead of copying.
 fn dispatch_binary(service: &Service, msg: Message, stop: &AtomicBool) -> BinaryReply {
     match msg.json.get("op").and_then(Json::as_str) {
-        Some("tile_exec") => BinaryReply::Message(tile_exec_binary(service, &msg.json)),
-        Some("stream_open") if msg.json.get("reference_chunks").is_some() => {
-            BinaryReply::Message(Message::json(stream_open_binary(service, msg)))
-        }
-        Some("stream_append") if msg.json.get("samples_chunks").is_some() => {
-            BinaryReply::Message(Message::json(stream_append_binary(service, msg)))
-        }
+        Some("tile_exec") => BinaryReply::Message(tile_exec(service, &msg.json)),
+        Some("stream_open") => BinaryReply::Message(Message::json(stream_open(service, msg))),
+        Some("stream_append") => BinaryReply::Message(Message::json(stream_append(service, msg))),
         _ => match dispatch(service, &msg.json, stop) {
             Reply::Drop => BinaryReply::Drop,
             Reply::Json(response) => BinaryReply::Message(Message::json(response)),
@@ -799,71 +803,7 @@ fn stats_json(service: &Service) -> Json {
     ])
 }
 
-/// Encode a value plane as the concatenated hex `f64` bit patterns, 16
-/// lowercase hex chars per element. JSON numbers cannot carry `+Inf` (the
-/// profile's unset sentinel) or guarantee bit-exact round-trips, so the
-/// tile-lease protocol ships value planes through this encoding.
-pub fn encode_plane_hex(plane: &[f64]) -> String {
-    let mut out = String::with_capacity(plane.len() * 16);
-    for v in plane {
-        out.push_str(&format!("{:016x}", v.to_bits()));
-    }
-    out
-}
-
-/// Decode a value plane produced by [`encode_plane_hex`], checking the
-/// expected element count.
-pub fn decode_plane_hex(hex: &str, len: usize) -> Result<Vec<f64>, String> {
-    if hex.len() != len * 16 {
-        return Err(format!(
-            "plane hex length {} does not match {} elements",
-            hex.len(),
-            len
-        ));
-    }
-    let bytes = hex.as_bytes();
-    let mut out = Vec::with_capacity(len);
-    for chunk in bytes.chunks_exact(16) {
-        let s = std::str::from_utf8(chunk).map_err(|_| "plane hex is not ASCII".to_string())?;
-        let bits = u64::from_str_radix(s, 16).map_err(|_| format!("bad plane hex chunk `{s}`"))?;
-        out.push(f64::from_bits(bits));
-    }
-    Ok(out)
-}
-
-/// Encode an index plane as concatenated hex `i64` bit patterns — the
-/// same 16-char cell as [`encode_plane_hex`], so the JSON fallback stops
-/// shipping (and parsing) one JSON number token per cell.
-pub fn encode_index_plane_hex(plane: &[i64]) -> String {
-    let mut out = String::with_capacity(plane.len() * 16);
-    for v in plane {
-        out.push_str(&format!("{:016x}", *v as u64));
-    }
-    out
-}
-
-/// Decode an index plane produced by [`encode_index_plane_hex`], checking
-/// the expected element count.
-pub fn decode_index_plane_hex(hex: &str, len: usize) -> Result<Vec<i64>, String> {
-    if hex.len() != len * 16 {
-        return Err(format!(
-            "index hex length {} does not match {} elements",
-            hex.len(),
-            len
-        ));
-    }
-    let bytes = hex.as_bytes();
-    let mut out = Vec::with_capacity(len);
-    for chunk in bytes.chunks_exact(16) {
-        let s = std::str::from_utf8(chunk).map_err(|_| "index hex is not ASCII".to_string())?;
-        let bits = u64::from_str_radix(s, 16).map_err(|_| format!("bad index hex chunk `{s}`"))?;
-        out.push(bits as i64);
-    }
-    Ok(out)
-}
-
-/// Parse a `tile_exec` request's job spec and tile list (shared by the
-/// JSON and binary transports).
+/// Parse a `tile_exec` request's job spec and tile list.
 fn parse_tile_exec(request: &Json) -> Result<(JobSpec, Vec<usize>), String> {
     let job = request.get("job").ok_or("missing 'job'")?;
     let spec = parse_job_spec(job)?;
@@ -884,50 +824,13 @@ fn parse_tile_exec(request: &Json) -> Result<(JobSpec, Vec<usize>), String> {
     Ok((spec, indices))
 }
 
-/// The response trailer shared by both `tile_exec` transports.
-fn tile_exec_trailer(run: &mdmp_core::TileSubsetRun) -> Vec<(&'static str, Json)> {
-    vec![
-        ("precalc_hits", Json::num(run.precalc_hits as f64)),
-        ("precalc_misses", Json::num(run.precalc_misses as f64)),
-        ("tile_retries", Json::num(run.tile_retries as f64)),
-        (
-            "plane_validation_failures",
-            Json::num(run.plane_validation_failures as f64),
-        ),
-        (
-            "quarantined_devices",
-            Json::Arr(
-                run.quarantined_devices
-                    .iter()
-                    .map(|&d| Json::num(d as f64))
-                    .collect(),
-            ),
-        ),
-    ]
-}
-
 /// Serve a `tile_exec` request: parse the job spec and tile list, execute
-/// the subset synchronously, and return the per-tile partial profiles.
-fn tile_exec(service: &Service, request: &Json) -> Json {
-    let (spec, indices) = match parse_tile_exec(request) {
-        Ok(parsed) => parsed,
-        Err(e) => return error_response(&e),
-    };
-    match service.execute_tile_subset(&spec, &indices) {
-        Err(e) => error_response(&e),
-        Ok(run) => {
-            let tiles: Vec<Json> = run.results.iter().map(tile_result_json).collect();
-            let mut payload = vec![("tiles", Json::Arr(tiles))];
-            payload.append(&mut tile_exec_trailer(&run));
-            ok_response(payload)
-        }
-    }
-}
-
-/// Serve a `tile_exec` request on the binary transport: the per-tile
-/// planes ride as frame chunks referenced by `p_chunk`/`i_chunk` indices
-/// instead of ASCII encodings.
-fn tile_exec_binary(service: &Service, request: &Json) -> Message {
+/// the subset synchronously, and return one entry per tile — identity
+/// (`tile`, `col0`), shape (`n_query`, `dims`), the modelled device
+/// seconds it cost — whose k-major planes (the
+/// [`mdmp_core::MatrixProfile::from_raw`] order) ride as the frame chunks
+/// its `p_chunk`/`i_chunk` indices name.
+fn tile_exec(service: &Service, request: &Json) -> Message {
     let (spec, indices) = match parse_tile_exec(request) {
         Ok(parsed) => parsed,
         Err(e) => return Message::json(error_response(&e)),
@@ -957,35 +860,27 @@ fn tile_exec_binary(service: &Service, request: &Json) -> Message {
                     ("precalc_hit", Json::Bool(result.precalc_cached)),
                 ]));
             }
-            let mut payload = vec![("tiles", Json::Arr(tiles))];
-            payload.append(&mut tile_exec_trailer(&run));
+            let quarantined = run
+                .quarantined_devices
+                .iter()
+                .map(|&d| Json::num(d as f64))
+                .collect();
             Message {
-                json: ok_response(payload),
+                json: ok_response(vec![
+                    ("tiles", Json::Arr(tiles)),
+                    ("precalc_hits", Json::num(run.precalc_hits as f64)),
+                    ("precalc_misses", Json::num(run.precalc_misses as f64)),
+                    ("tile_retries", Json::num(run.tile_retries as f64)),
+                    (
+                        "plane_validation_failures",
+                        Json::num(run.plane_validation_failures as f64),
+                    ),
+                    ("quarantined_devices", Json::Arr(quarantined)),
+                ]),
                 chunks,
             }
         }
     }
-}
-
-/// The wire form of one executed tile: identity (`tile`, `col0`), shape
-/// (`n_query`, `dims`), both planes as hex bit patterns (k-major, the
-/// [`mdmp_core::MatrixProfile::from_raw`] order), and the modelled device
-/// seconds the tile cost.
-fn tile_result_json(result: &mdmp_core::SubsetTileResult) -> Json {
-    let profile = &result.profile;
-    let mut values = Vec::new();
-    let mut indices = Vec::new();
-    mdmp_core::profile_planes_k_major(profile, &mut values, &mut indices);
-    Json::obj(vec![
-        ("tile", Json::num(result.tile.index as f64)),
-        ("col0", Json::num(result.tile.col0 as f64)),
-        ("n_query", Json::num(profile.n_query() as f64)),
-        ("dims", Json::num(profile.dims() as f64)),
-        ("p_hex", Json::str(encode_plane_hex(&values))),
-        ("i_hex", Json::str(encode_index_plane_hex(&indices))),
-        ("device_seconds", Json::num(result.device_seconds)),
-        ("precalc_hit", Json::Bool(result.precalc_cached)),
-    ])
 }
 
 fn summary_json(summary: &SessionSummary) -> Json {
@@ -997,33 +892,7 @@ fn summary_json(summary: &SessionSummary) -> Json {
     ])
 }
 
-fn parse_series(value: &Json) -> Result<MultiDimSeries, String> {
-    // `from_dims` asserts equal lengths; a ragged wire payload must be a
-    // typed error, not a dropped connection.
-    series_from_dims(parse_samples(value)?)
-}
-
-/// Parse per-dimension sample slices without requiring equal lengths — the
-/// session layer reports shape mismatches as typed errors.
-fn parse_samples(value: &Json) -> Result<Vec<Vec<f64>>, String> {
-    let dims = value.as_arr().ok_or("series must be an array of arrays")?;
-    if dims.is_empty() {
-        return Err("series needs at least one dimension".into());
-    }
-    let mut out = Vec::with_capacity(dims.len());
-    for dim in dims {
-        let samples = dim.as_arr().ok_or("each dimension must be an array")?;
-        let mut xs = Vec::with_capacity(samples.len());
-        for s in samples {
-            xs.push(s.as_f64().ok_or("samples must be numbers")?);
-        }
-        out.push(xs);
-    }
-    Ok(out)
-}
-
-/// Parse the `m` and `mode` fields shared by both `stream_open`
-/// transports.
+/// Parse the `m` and `mode` fields of a `stream_open` request.
 fn parse_stream_config(request: &Json) -> Result<(usize, PrecisionMode), String> {
     let m = match request.get("m").and_then(Json::as_u64) {
         Some(m) if m >= 2 => m as usize,
@@ -1036,27 +905,6 @@ fn parse_stream_config(request: &Json) -> Result<(usize, PrecisionMode), String>
     Ok((m, mode))
 }
 
-fn stream_open(service: &Service, request: &Json) -> Json {
-    let (m, mode) = match parse_stream_config(request) {
-        Ok(config) => config,
-        Err(e) => return error_response(&e),
-    };
-    let reference = match request.get("reference").map(parse_series) {
-        Some(Ok(series)) => series,
-        Some(Err(e)) => return error_response(&format!("reference: {e}")),
-        None => return error_response("missing 'reference'"),
-    };
-    let query = match request.get("query").map(parse_series) {
-        Some(Ok(series)) => series,
-        Some(Err(e)) => return error_response(&format!("query: {e}")),
-        None => reference.clone(),
-    };
-    match service.stream_open(reference, query, MdmpConfig::new(m, mode)) {
-        Ok(summary) => ok_response(vec![("session", summary_json(&summary))]),
-        Err(e) => error_response(&e),
-    }
-}
-
 fn append_report_json(report: &crate::session::AppendReport) -> Json {
     ok_response(vec![
         ("session", summary_json(&report.summary)),
@@ -1064,28 +912,6 @@ fn append_report_json(report: &crate::session::AppendReport) -> Json {
         ("reused_segments", Json::num(report.reused_segments as f64)),
         ("fresh_segments", Json::num(report.fresh_segments as f64)),
     ])
-}
-
-fn stream_append(service: &Service, request: &Json) -> Json {
-    let Some(id) = request.get("session").and_then(Json::as_u64) else {
-        return error_response("missing numeric 'session'");
-    };
-    let side = match request.get("side").and_then(Json::as_str) {
-        Some(s) => match s.parse::<AppendSide>() {
-            Ok(side) => side,
-            Err(e) => return error_response(&e),
-        },
-        None => AppendSide::Query,
-    };
-    let samples = match request.get("samples").map(parse_samples) {
-        Some(Ok(samples)) => samples,
-        Some(Err(e)) => return error_response(&format!("samples: {e}")),
-        None => return error_response("missing 'samples'"),
-    };
-    match service.stream_append(id, side, &samples) {
-        Ok(report) => append_report_json(&report),
-        Err(e) => error_response(&e),
-    }
 }
 
 /// Pull `count` float chunks off the frame as per-dimension sample
@@ -1125,10 +951,10 @@ fn series_from_dims(dims: Vec<Vec<f64>>) -> Result<MultiDimSeries, String> {
     Ok(MultiDimSeries::from_dims(dims))
 }
 
-/// Serve a `stream_open` whose series arrive as binary chunks — one float
+/// Serve a `stream_open`: its series arrive as binary chunks — one float
 /// chunk per dimension, `reference_chunks` of them, then `query_chunks`
 /// (omit for a self-join).
-fn stream_open_binary(service: &Service, msg: Message) -> Json {
+fn stream_open(service: &Service, msg: Message) -> Json {
     let request = &msg.json;
     let (m, mode) = match parse_stream_config(request) {
         Ok(config) => config,
@@ -1163,9 +989,9 @@ fn stream_open_binary(service: &Service, msg: Message) -> Json {
     }
 }
 
-/// Serve a `stream_append` whose samples arrive as binary chunks — one
+/// Serve a `stream_append`: its samples arrive as binary chunks — one
 /// float chunk per dimension, `samples_chunks` of them.
-fn stream_append_binary(service: &Service, msg: Message) -> Json {
+fn stream_append(service: &Service, msg: Message) -> Json {
     let request = &msg.json;
     let Some(id) = request.get("session").and_then(Json::as_u64) else {
         return error_response("missing numeric 'session'");
@@ -1211,6 +1037,21 @@ pub fn request(addr: &str, request: &Json) -> io::Result<Json> {
 mod tests {
     use super::*;
     use crate::scheduler::ServiceConfig;
+    use crate::wire::{WireConn, WirePreference};
+
+    /// A binary-frame connection to `addr`.
+    fn frames(addr: &str) -> WireConn {
+        WireConn::connect(addr, None, WirePreference::Auto).unwrap()
+    }
+
+    /// One request frame built from `pairs` and `chunks`; the reply's JSON.
+    fn call(conn: &mut WireConn, pairs: Vec<(&str, Json)>, chunks: Vec<Chunk>) -> Json {
+        let request = Message {
+            json: Json::obj(pairs),
+            chunks,
+        };
+        conn.request(&request).unwrap().json
+    }
 
     #[test]
     fn request_lines_are_bounded() {
@@ -1308,22 +1149,18 @@ mod tests {
         });
         let mut server = serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
         let addr = server.local_addr().to_string();
+        let mut conn = frames(&addr);
 
-        let series = |off: usize, n: usize| {
-            Json::Arr(vec![Json::Arr(
-                wave(off, n).into_iter().map(Json::num).collect(),
-            )])
-        };
-        let opened = request(
-            &addr,
-            &Json::obj(vec![
+        let opened = call(
+            &mut conn,
+            vec![
                 ("op", Json::str("stream_open")),
                 ("m", Json::num(8.0)),
-                ("reference", series(0, 80)),
-                ("query", series(29, 48)),
-            ]),
-        )
-        .unwrap();
+                ("reference_chunks", Json::num(1.0)),
+                ("query_chunks", Json::num(1.0)),
+            ],
+            vec![Chunk::F64(wave(0, 80)), Chunk::F64(wave(29, 48))],
+        );
         assert_eq!(opened.get("ok"), Some(&Json::Bool(true)), "{opened}");
         let session = opened
             .get("session")
@@ -1333,16 +1170,16 @@ mod tests {
             .as_u64()
             .unwrap();
 
-        let appended = request(
-            &addr,
-            &Json::obj(vec![
+        let appended = call(
+            &mut conn,
+            vec![
                 ("op", Json::str("stream_append")),
                 ("session", Json::num(session as f64)),
                 ("side", Json::str("query")),
-                ("samples", series(77, 16)),
-            ]),
-        )
-        .unwrap();
+                ("samples_chunks", Json::num(1.0)),
+            ],
+            vec![Chunk::F64(wave(77, 16))],
+        );
         assert_eq!(appended.get("ok"), Some(&Json::Bool(true)), "{appended}");
         let n_query = appended
             .get("session")
@@ -1358,31 +1195,18 @@ mod tests {
             "{appended}"
         );
 
-        let closed = request(
-            &addr,
-            &Json::obj(vec![
+        let closed = call(
+            &mut conn,
+            vec![
                 ("op", Json::str("stream_close")),
                 ("session", Json::num(session as f64)),
-            ]),
-        )
-        .unwrap();
+            ],
+            Vec::new(),
+        );
         assert_eq!(closed.get("closed"), Some(&Json::Bool(true)));
 
         server.stop();
         service.shutdown(true);
-    }
-
-    #[test]
-    fn plane_hex_round_trips_inf_and_nan_bits() {
-        let plane = vec![f64::INFINITY, -1.5, 0.0, f64::NAN, 1e-300];
-        let hex = encode_plane_hex(&plane);
-        assert_eq!(hex.len(), plane.len() * 16);
-        let back = decode_plane_hex(&hex, plane.len()).unwrap();
-        for (a, b) in plane.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert!(decode_plane_hex(&hex, 4).is_err());
-        assert!(decode_plane_hex("zz", 0).is_err());
     }
 
     #[test]
@@ -1394,6 +1218,7 @@ mod tests {
         });
         let mut server = serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
         let addr = server.local_addr().to_string();
+        let mut conn = frames(&addr);
 
         let job = Json::obj(vec![
             (
@@ -1409,27 +1234,34 @@ mod tests {
             ("mode", Json::str("fp32")),
             ("tiles", Json::num(4.0)),
         ]);
-        let reply = request(
-            &addr,
-            &Json::obj(vec![
+        let reply = conn
+            .request(&Message::json(Json::obj(vec![
                 ("op", Json::str("tile_exec")),
                 ("job", job),
                 ("tiles", Json::Arr(vec![Json::num(1.0), Json::num(3.0)])),
-            ]),
-        )
-        .unwrap();
-        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{reply}");
-        let tiles = reply.get("tiles").unwrap().as_arr().unwrap();
+            ])))
+            .unwrap();
+        assert_eq!(
+            reply.json.get("ok"),
+            Some(&Json::Bool(true)),
+            "{}",
+            reply.json
+        );
+        let tiles = reply.json.get("tiles").unwrap().as_arr().unwrap();
         assert_eq!(tiles.len(), 2);
+        assert_eq!(reply.chunks.len(), 4);
         for (expect, tile) in [1.0, 3.0].iter().zip(tiles) {
             assert_eq!(tile.get("tile").unwrap().as_f64(), Some(*expect));
             let n_query = tile.get("n_query").unwrap().as_u64().unwrap() as usize;
             let dims = tile.get("dims").unwrap().as_u64().unwrap() as usize;
-            let hex = tile.get("p_hex").unwrap().as_str().unwrap();
-            let plane = decode_plane_hex(hex, n_query * dims).unwrap();
+            let chunk = |field: &str| {
+                let at = tile.get(field).unwrap().as_u64().unwrap() as usize;
+                reply.chunks[at].clone()
+            };
+            let plane = chunk("p_chunk").into_f64().unwrap();
+            assert_eq!(plane.len(), n_query * dims);
             assert!(plane.iter().all(|v| v.is_finite() || *v == f64::INFINITY));
-            let i_hex = tile.get("i_hex").unwrap().as_str().unwrap();
-            let index_plane = decode_index_plane_hex(i_hex, n_query * dims).unwrap();
+            let index_plane = chunk("i_chunk").into_i64().unwrap();
             assert_eq!(index_plane.len(), n_query * dims);
             assert!(index_plane.iter().all(|&i| i >= -1));
             assert!(tile.get("device_seconds").unwrap().as_f64().unwrap() > 0.0);
@@ -1451,21 +1283,31 @@ mod tests {
                 ("tiles", Json::num(4.0)),
             ])
         };
-        let r = request(
-            &addr,
-            &Json::obj(vec![("op", Json::str("tile_exec")), ("job", job())]),
-        )
-        .unwrap();
+        let r = call(
+            &mut conn,
+            vec![("op", Json::str("tile_exec")), ("job", job())],
+            Vec::new(),
+        );
         assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
-        let r = request(
-            &addr,
-            &Json::obj(vec![
+        let r = call(
+            &mut conn,
+            vec![
+                ("op", Json::str("tile_exec")),
+                ("job", job()),
+                ("tiles", Json::Arr(vec![])),
+            ],
+            Vec::new(),
+        );
+        assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
+        let r = call(
+            &mut conn,
+            vec![
                 ("op", Json::str("tile_exec")),
                 ("job", job()),
                 ("tiles", Json::Arr(vec![Json::num(99.0)])),
-            ]),
-        )
-        .unwrap();
+            ],
+            Vec::new(),
+        );
         assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(service.stats().tile_exec_failures, 1);
 
@@ -1482,20 +1324,23 @@ mod tests {
         });
         let mut server = serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
         let addr = server.local_addr().to_string();
+        let mut conn = frames(&addr);
 
-        let dim =
-            |off: usize, n: usize| Json::Arr(wave(off, n).into_iter().map(Json::num).collect());
+        let dim = |off: usize, n: usize| Chunk::F64(wave(off, n));
+        let open = |conn: &mut WireConn, dims: Vec<Chunk>| {
+            call(
+                conn,
+                vec![
+                    ("op", Json::str("stream_open")),
+                    ("m", Json::num(8.0)),
+                    ("reference_chunks", Json::num(dims.len() as f64)),
+                ],
+                dims,
+            )
+        };
 
         // Ragged open payload: typed error, connection stays alive.
-        let r = request(
-            &addr,
-            &Json::obj(vec![
-                ("op", Json::str("stream_open")),
-                ("m", Json::num(8.0)),
-                ("reference", Json::Arr(vec![dim(0, 64), dim(3, 63)])),
-            ]),
-        )
-        .unwrap();
+        let r = open(&mut conn, vec![dim(0, 64), dim(3, 63)]);
         assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{r}");
         assert!(
             r.get("error").unwrap().as_str().unwrap().contains("length"),
@@ -1503,15 +1348,7 @@ mod tests {
         );
 
         // A healthy two-dimensional session to append against.
-        let opened = request(
-            &addr,
-            &Json::obj(vec![
-                ("op", Json::str("stream_open")),
-                ("m", Json::num(8.0)),
-                ("reference", Json::Arr(vec![dim(0, 64), dim(7, 64)])),
-            ]),
-        )
-        .unwrap();
+        let opened = open(&mut conn, vec![dim(0, 64), dim(7, 64)]);
         assert_eq!(opened.get("ok"), Some(&Json::Bool(true)), "{opened}");
         let session = opened
             .get("session")
@@ -1520,20 +1357,20 @@ mod tests {
             .unwrap()
             .as_u64()
             .unwrap();
-        let append = |samples: Json, id: u64| {
-            request(
-                &addr,
-                &Json::obj(vec![
+        let mut append = |samples: Vec<Chunk>, id: u64| {
+            call(
+                &mut conn,
+                vec![
                     ("op", Json::str("stream_append")),
                     ("session", Json::num(id as f64)),
-                    ("samples", samples),
-                ]),
+                    ("samples_chunks", Json::num(samples.len() as f64)),
+                ],
+                samples,
             )
-            .unwrap()
         };
 
         // Mismatched dimension count.
-        let r = append(Json::Arr(vec![dim(0, 8)]), session);
+        let r = append(vec![dim(0, 8)], session);
         assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{r}");
         assert!(
             r.get("error")
@@ -1544,17 +1381,14 @@ mod tests {
             "{r}"
         );
         // Unequal slice lengths.
-        let r = append(Json::Arr(vec![dim(0, 8), dim(1, 7)]), session);
+        let r = append(vec![dim(0, 8), dim(1, 7)], session);
         assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{r}");
         assert!(
             r.get("error").unwrap().as_str().unwrap().contains("equal"),
             "{r}"
         );
         // Empty append.
-        let r = append(
-            Json::Arr(vec![Json::Arr(vec![]), Json::Arr(vec![])]),
-            session,
-        );
+        let r = append(vec![Chunk::F64(vec![]), Chunk::F64(vec![])], session);
         assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{r}");
         assert!(
             r.get("error")
@@ -1565,7 +1399,7 @@ mod tests {
             "{r}"
         );
         // Unknown session.
-        let r = append(Json::Arr(vec![dim(0, 8), dim(1, 8)]), 4040);
+        let r = append(vec![dim(0, 8), dim(1, 8)], 4040);
         assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{r}");
         assert!(
             r.get("error")
@@ -1578,7 +1412,7 @@ mod tests {
 
         // The server is still up and a well-formed append succeeds and
         // shows on the metrics surfaces.
-        let r = append(Json::Arr(vec![dim(64, 8), dim(71, 8)]), session);
+        let r = append(vec![dim(64, 8), dim(71, 8)], session);
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r}");
         let stats = service.stats();
         assert_eq!(stats.stream_opens, 1);
@@ -1598,6 +1432,132 @@ mod tests {
         assert!(text.contains("mdmp_stream_appends_total 1"), "{text}");
         assert!(text.contains("mdmp_stream_append_failures_total 4"));
         assert!(text.contains("mdmp_stream_sessions_open 1"));
+
+        server.stop();
+        service.shutdown(true);
+    }
+
+    /// A JSON-lines connection: requests written and replies read one
+    /// line each.
+    struct Lines {
+        reader: BufReader<TcpStream>,
+        writer: TcpStream,
+    }
+
+    impl Lines {
+        fn connect(addr: &str) -> Lines {
+            let writer = TcpStream::connect(addr).unwrap();
+            Lines {
+                reader: BufReader::new(writer.try_clone().unwrap()),
+                writer,
+            }
+        }
+
+        fn send_raw(&mut self, line: &str) -> String {
+            self.writer.write_all(line.as_bytes()).unwrap();
+            let mut reply = String::new();
+            self.reader.read_line(&mut reply).unwrap();
+            reply
+        }
+
+        fn call(&mut self, request: &Json) -> Json {
+            Json::parse(self.send_raw(&format!("{request}\n")).trim()).unwrap()
+        }
+    }
+
+    #[test]
+    fn bulk_ops_on_json_lines_get_typed_errors() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            devices: 1,
+            ..ServiceConfig::default()
+        });
+        let mut server = serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr().to_string();
+        let mut conn = Lines::connect(&addr);
+        let series = Json::Arr(vec![Json::Arr(
+            wave(0, 32).into_iter().map(Json::num).collect(),
+        )]);
+        let job = Json::obj(vec![
+            (
+                "input",
+                Json::obj(vec![
+                    ("kind", Json::str("synthetic")),
+                    ("n", Json::num(96.0)),
+                ]),
+            ),
+            ("m", Json::num(8.0)),
+        ]);
+        let requests = [
+            vec![
+                ("op", Json::str("tile_exec")),
+                ("job", job),
+                ("tiles", Json::Arr(vec![Json::num(0.0)])),
+            ],
+            vec![
+                ("op", Json::str("stream_open")),
+                ("m", Json::num(8.0)),
+                ("reference", series.clone()),
+            ],
+            vec![
+                ("op", Json::str("stream_append")),
+                ("session", Json::num(1.0)),
+                ("samples", series),
+            ],
+        ];
+        for pairs in requests {
+            let op = pairs[0].1.as_str().unwrap().to_string();
+            let r = conn.call(&Json::obj(pairs));
+            assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{op}: {r}");
+            assert_eq!(
+                r.get("error").and_then(Json::as_str),
+                Some(format!("{op} needs binary frames (send wire_upgrade first)").as_str()),
+                "{op}"
+            );
+            // The same connection keeps serving control ops.
+            let pong = conn.call(&Json::obj(vec![("op", Json::str("ping"))]));
+            assert_eq!(pong.get("ok"), Some(&Json::Bool(true)), "after {op}");
+        }
+        let stats = service.stats();
+        assert_eq!(stats.tile_exec_requests, 0);
+        assert_eq!(stats.stream_opens, 0);
+        assert_eq!(stats.stream_append_failures, 0);
+
+        server.stop();
+        service.shutdown(true);
+    }
+
+    #[test]
+    fn request_lines_over_the_cap_are_refused_over_tcp() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            devices: 1,
+            ..ServiceConfig::default()
+        });
+        let mut server = serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr().to_string();
+        // A ping padded to `len` bytes, newline included.
+        let ping = |len: usize| {
+            let head = r#"{"op":"ping","pad":""#;
+            let tail = "\"}\n";
+            format!("{head}{}{tail}", "x".repeat(len - head.len() - tail.len()))
+        };
+
+        // Exactly the cap: served, and the connection stays open.
+        let mut conn = Lines::connect(&addr);
+        let reply = Json::parse(conn.send_raw(&ping(MAX_LINE_BYTES)).trim()).unwrap();
+        assert_eq!(reply.get("pong"), Some(&Json::Bool(true)), "{reply}");
+        // One byte over: the "exceeds" reply, then the server closes.
+        let reply = Json::parse(conn.send_raw(&ping(MAX_LINE_BYTES + 1)).trim()).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply}");
+        let error = reply.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("exceeds"), "{error}");
+        let mut rest = String::new();
+        assert_eq!(conn.reader.read_line(&mut rest).unwrap(), 0, "{rest}");
+
+        // The server keeps serving new connections.
+        let pong = request(&addr, &Json::obj(vec![("op", Json::str("ping"))])).unwrap();
+        assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
 
         server.stop();
         service.shutdown(true);

@@ -1,10 +1,10 @@
 //! The binary wire protocol (DESIGN.md §15): length-prefixed, CRC-checked
 //! frames negotiated per-connection on top of the JSON-lines handshake.
 //!
-//! JSON-lines remains the handshake and the fallback — a client sends a
-//! `wire_upgrade` request as an ordinary JSON line, and only after the
-//! server's `ok` reply do both sides switch to frames, so old peers keep
-//! working untouched. Each frame is:
+//! A client sends a `wire_upgrade` request as an ordinary JSON line, and
+//! after the server's `ok` reply both sides switch to frames for the rest
+//! of the connection. Bulk planes travel only on frames; JSON lines carry
+//! the handshake and the control ops. Each frame is:
 //!
 //! ```text
 //! offset  size  field
@@ -18,7 +18,7 @@
 //!
 //! The payload is an **envelope**: a JSON object (the op and its scalar
 //! fields, exactly the JSON-lines vocabulary) followed by zero or more
-//! **chunks** carrying the bulk planes that used to be ASCII-encoded:
+//! **chunks** carrying the bulk planes:
 //!
 //! ```text
 //! json_len u32 LE | json utf-8 | chunk_count u16 LE | chunks…
@@ -30,8 +30,9 @@
 //! LEB128 varints. Float planes are narrowed only when every element
 //! **bit-exactly** survives the round trip (`to_bits` compared after
 //! widening back to `f64`), scanned per chunk — so FP64 planes ship at
-//! 8 B, FP32/Mixed/FP16C/TC planes at 4 B and FP16 planes at 2 B per
-//! element with no mode-specific trust involved, and a plane holding a
+//! 8 B, FP32 and tensor-core planes at 4 B, and the planes of FP16,
+//! Mixed, FP16C and the other modes whose values are half-exact at 2 B
+//! per element, with no mode-specific trust involved; a plane holding a
 //! non-canonical NaN simply stays at 8 B.
 //!
 //! Error containment: a checksum or envelope-decode failure is
@@ -40,7 +41,6 @@
 //! continues. A broken header (bad magic/version/kind or an oversized
 //! length prefix) is [`WireError::Desync`]: framing is lost, the server
 //! answers once and closes, staying up for other connections.
-//! `MDMP_WIRE=json` ([`wire_preference`]) disables the upgrade entirely.
 
 use crate::proto::Json;
 use mdmp_precision::Half;
@@ -134,9 +134,8 @@ impl Chunk {
     }
 }
 
-/// A decoded frame: the envelope JSON plus its chunks. On a JSON-lines
-/// connection the same type carries a bare object with no chunks, so both
-/// transports share one request/response surface.
+/// A decoded frame: the envelope JSON plus its chunks (none for a control
+/// op).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// The op and its scalar fields.
@@ -167,6 +166,9 @@ pub enum WireError {
     /// The frame boundary was intact but its content failed the checksum
     /// or envelope decode. The connection can continue.
     Corrupt(String),
+    /// The server answered `wire_upgrade` with something other than an
+    /// `ok` binary reply: it does not speak this protocol version.
+    Declined(String),
 }
 
 impl std::fmt::Display for WireError {
@@ -175,6 +177,7 @@ impl std::fmt::Display for WireError {
             WireError::Io(e) => write!(f, "io: {e}"),
             WireError::Desync(e) => write!(f, "framing lost: {e}"),
             WireError::Corrupt(e) => write!(f, "corrupt frame: {e}"),
+            WireError::Declined(e) => write!(f, "binary wire upgrade declined: {e}"),
         }
     }
 }
@@ -187,23 +190,12 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// The client-side transport choice.
+/// The client-side transport choice. Its one variant negotiates binary
+/// frames; the type survives only because the benchmark harness names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WirePreference {
-    /// Attempt the `wire_upgrade` negotiation; fall back to JSON lines if
-    /// the server declines (old peer).
+    /// Run the `wire_upgrade` negotiation.
     Auto,
-    /// JSON lines only — the `MDMP_WIRE=json` escape hatch.
-    Json,
-}
-
-/// The process-wide transport preference: `MDMP_WIRE=json` forces the
-/// JSON-lines fallback, anything else (including unset) negotiates.
-pub fn wire_preference() -> WirePreference {
-    match std::env::var("MDMP_WIRE") {
-        Ok(v) if v.eq_ignore_ascii_case("json") => WirePreference::Json,
-        _ => WirePreference::Auto,
-    }
 }
 
 fn zigzag(d: i64) -> u64 {
@@ -258,12 +250,12 @@ fn take_varint(bytes: &[u8], at: &mut usize) -> Result<u64, String> {
 /// pattern, and for width 4 iff `(v as f32) as f64` does. Half ⊂ f32 ⊂
 /// f64 exactly, so the scan only ever escalates. This is why narrow
 /// planes are safe by construction: FP64 planes fail both tests and ship
-/// at 8 B; FP32-valued planes (FP32/Mixed/FP16C and the TC modes, plus
-/// the `+Inf` unset sentinel) pass the f32 test; FP16-valued planes pass
-/// the Half test; and any value the round trips don't reproduce exactly
-/// — a NaN whose `as`-cast payload comes back different, a subnormal —
-/// silently stays at 8 B rather than trusting the precision mode's
-/// label. The codec decodes with the same `Half`/`f32` conversions the
+/// at 8 B; FP32-valued planes (FP32 and the TC modes, plus the `+Inf`
+/// unset sentinel) pass the f32 test; FP16-valued planes (FP16, Mixed,
+/// FP16C) pass the Half test; and any value the round trips don't
+/// reproduce exactly — a NaN whose `as`-cast payload comes back
+/// different, a subnormal — silently stays at 8 B rather than trusting
+/// the precision mode's label. The codec decodes with the same `Half`/`f32` conversions the
 /// scan probes with, so a passed probe is a guaranteed round trip.
 pub fn narrowest_width(plane: &[f64]) -> u8 {
     let mut width = 2u8;
@@ -555,14 +547,12 @@ impl FrameCodec {
     }
 }
 
-/// A client connection that negotiates the binary upgrade and falls back
-/// to JSON lines transparently, with `TCP_NODELAY`, buffered writes and
-/// byte accounting on both transports.
+/// A client connection on binary frames, with `TCP_NODELAY`, buffered
+/// writes and byte accounting.
 pub struct WireConn {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     codec: FrameCodec,
-    binary: bool,
     bytes_sent: u64,
     bytes_received: u64,
 }
@@ -570,7 +560,6 @@ pub struct WireConn {
 impl std::fmt::Debug for WireConn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WireConn")
-            .field("binary", &self.binary)
             .field("bytes_sent", &self.bytes_sent)
             .field("bytes_received", &self.bytes_received)
             .finish()
@@ -579,14 +568,12 @@ impl std::fmt::Debug for WireConn {
 
 impl WireConn {
     /// Connect to `addr`, set `TCP_NODELAY` (and `read_timeout`, when
-    /// given), and — unless `prefer` is [`WirePreference::Json`] — run the
-    /// `wire_upgrade` negotiation. A server that answers the upgrade with
-    /// an error (an old peer) leaves the connection in JSON mode; only
-    /// transport failures error out.
+    /// given), and run the `wire_upgrade` negotiation. A server that
+    /// declines the upgrade is [`WireError::Declined`].
     pub fn connect(
         addr: &str,
         read_timeout: Option<Duration>,
-        prefer: WirePreference,
+        _prefer: WirePreference,
     ) -> Result<WireConn, WireError> {
         let stream = TcpStream::connect(addr)?;
         // Request/response protocol: Nagle only adds latency here.
@@ -599,37 +586,56 @@ impl WireConn {
             reader: BufReader::new(stream),
             writer,
             codec: FrameCodec::new(),
-            binary: false,
             bytes_sent: 0,
             bytes_received: 0,
         };
-        if prefer == WirePreference::Auto {
-            conn.upgrade()?;
-        }
+        conn.upgrade()?;
         Ok(conn)
     }
 
+    /// The one JSON-lines exchange of a connection: `wire_upgrade` out,
+    /// the server's verdict back.
     fn upgrade(&mut self) -> Result<(), WireError> {
         let request = Json::obj(vec![
             ("op", Json::str("wire_upgrade")),
             ("version", Json::num(f64::from(WIRE_VERSION))),
-        ]);
-        self.send_json_line(&request)?;
-        let reply = self.recv_json_line()?;
+        ])
+        .to_string();
+        self.writer.write_all(request.as_bytes())?;
+        self.writer.write_all(b"\n")?;
+        self.writer.flush()?;
+        self.bytes_sent += request.len() as u64 + 1;
+        let mut line = String::new();
+        let n = self.reader.read_line(&mut line)?;
+        if n == 0 {
+            return Err(WireError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed by peer",
+            )));
+        }
+        self.bytes_received += n as u64;
+        let reply = Json::parse(line.trim()).map_err(WireError::Corrupt)?;
         if reply.get("ok").and_then(Json::as_bool) == Some(true)
             && reply.get("wire").and_then(Json::as_str) == Some("binary")
         {
-            self.binary = true;
+            return Ok(());
         }
-        Ok(())
+        Err(WireError::Declined(
+            reply
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("no binary reply")
+                .to_string(),
+        ))
     }
 
-    /// Whether the binary upgrade succeeded.
+    /// Always true: a connected `WireConn` speaks binary frames. Kept for
+    /// the benchmark harness, which checks it.
     pub fn is_binary(&self) -> bool {
-        self.binary
+        true
     }
 
-    /// Bytes written to the socket so far (both transports, framing
+    /// Bytes written to the socket so far (handshake and framing
     /// included).
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
@@ -640,63 +646,26 @@ impl WireConn {
         self.bytes_received
     }
 
-    fn send_json_line(&mut self, json: &Json) -> Result<(), WireError> {
-        let text = json.to_string();
-        self.writer.write_all(text.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+    /// Send one message as a frame.
+    pub fn send(&mut self, msg: &Message) -> Result<(), WireError> {
+        let frame = self.codec.encode(msg, true).map_err(WireError::Corrupt)?;
+        self.writer.write_all(frame)?;
         self.writer.flush()?;
-        self.bytes_sent += text.len() as u64 + 1;
+        self.bytes_sent += frame.len() as u64;
         Ok(())
     }
 
-    fn recv_json_line(&mut self) -> Result<Json, WireError> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(WireError::Io(std::io::Error::new(
+    /// Receive one frame.
+    pub fn recv(&mut self) -> Result<Message, WireError> {
+        match self.codec.read(&mut self.reader)? {
+            Some((msg, n)) => {
+                self.bytes_received += n;
+                Ok(msg)
+            }
+            None => Err(WireError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "connection closed by peer",
-            )));
-        }
-        self.bytes_received += n as u64;
-        Json::parse(line.trim()).map_err(WireError::Corrupt)
-    }
-
-    /// Send one message on the active transport. On a JSON connection the
-    /// message must be chunkless — bulk payloads belong inline in the
-    /// JSON there.
-    pub fn send(&mut self, msg: &Message) -> Result<(), WireError> {
-        if self.binary {
-            let frame = self.codec.encode(msg, true).map_err(WireError::Corrupt)?;
-            self.writer.write_all(frame)?;
-            self.writer.flush()?;
-            self.bytes_sent += frame.len() as u64;
-            Ok(())
-        } else {
-            if !msg.chunks.is_empty() {
-                return Err(WireError::Corrupt(
-                    "chunked message on a JSON-lines connection".into(),
-                ));
-            }
-            self.send_json_line(&msg.json)
-        }
-    }
-
-    /// Receive one message on the active transport.
-    pub fn recv(&mut self) -> Result<Message, WireError> {
-        if self.binary {
-            match self.codec.read(&mut self.reader)? {
-                Some((msg, n)) => {
-                    self.bytes_received += n;
-                    Ok(msg)
-                }
-                None => Err(WireError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed by peer",
-                ))),
-            }
-        } else {
-            Ok(Message::json(self.recv_json_line()?))
+            ))),
         }
     }
 
@@ -941,15 +910,5 @@ mod tests {
             let mut reader = std::io::BufReader::new(&garbage[..]);
             let _ = codec.read(&mut reader);
         }
-    }
-
-    #[test]
-    fn wire_preference_reads_env() {
-        // Not parallel-safe to set the var here (other tests read it), so
-        // just check the default path.
-        assert!(matches!(
-            wire_preference(),
-            WirePreference::Auto | WirePreference::Json
-        ));
     }
 }

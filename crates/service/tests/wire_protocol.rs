@@ -1,25 +1,32 @@
 //! Wire-protocol acceptance over real TCP sockets: the binary frame
-//! transport must be **bit-identical** to the JSON-lines transport in
-//! every precision mode, survive injected corruption with typed errors
-//! (server stays up, counters bump), and round-trip arbitrary planes —
-//! NaN payloads, infinities, `-0.0`, subnormals — exactly.
+//! transport must be **bit-identical** to the same work run in process in
+//! every precision mode, ship each plane at its narrowest bit-exact width,
+//! refuse bulk ops on JSON lines, survive injected corruption with typed
+//! errors (server stays up, counters bump), and round-trip arbitrary
+//! planes — NaN payloads, infinities, `-0.0`, subnormals — exactly.
 
+use mdmp_core::MdmpConfig;
+use mdmp_data::MultiDimSeries;
 use mdmp_precision::PrecisionMode;
 use mdmp_service::{
-    decode_index_plane_hex, decode_plane_hex, serve, Chunk, FrameCodec, Json, Message, Server,
+    narrowest_width, parse_job_spec, serve, AppendSide, Chunk, FrameCodec, Json, Message, Server,
     Service, ServiceConfig, WireConn, WirePreference,
 };
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-fn start_node() -> (Arc<Service>, Server, String) {
-    let service = Service::start(ServiceConfig {
+fn config() -> ServiceConfig {
+    ServiceConfig {
         workers: 1,
         devices: 1,
         ..ServiceConfig::default()
-    });
+    }
+}
+
+fn start_node() -> (Arc<Service>, Server, String) {
+    let service = Service::start(config());
     let server = serve(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().to_string();
     (service, server, addr)
@@ -57,94 +64,183 @@ fn tile_exec_request(mode: &str) -> Json {
 /// One decoded tile: (tile, col0, value bits, indices).
 type TilePlanes = (usize, usize, Vec<u64>, Vec<i64>);
 
-/// One tile's planes, decoded from either transport's reply entry.
-fn planes_of(entry: &Json, chunks: &[Chunk]) -> TilePlanes {
-    let field = |k: &str| entry.get(k).and_then(Json::as_u64).expect(k) as usize;
-    let len = field("n_query") * field("dims");
-    let p = if let Some(at) = entry.get("p_chunk").and_then(Json::as_u64) {
-        chunks[at as usize].clone().into_f64().expect("float chunk")
-    } else {
-        let hex = entry.get("p_hex").and_then(Json::as_str).expect("p_hex");
-        decode_plane_hex(hex, len).expect("p_hex decode")
-    };
-    let i = if let Some(at) = entry.get("i_chunk").and_then(Json::as_u64) {
-        chunks[at as usize].clone().into_i64().expect("index chunk")
-    } else {
-        let hex = entry.get("i_hex").and_then(Json::as_str).expect("i_hex");
-        decode_index_plane_hex(hex, len).expect("i_hex decode")
-    };
-    let bits = p.iter().map(|v| v.to_bits()).collect();
-    (field("tile"), field("col0"), bits, i)
+fn tile_planes(tile: usize, col0: usize, values: &[f64], indices: Vec<i64>) -> TilePlanes {
+    (
+        tile,
+        col0,
+        values.iter().map(|v| v.to_bits()).collect(),
+        indices,
+    )
 }
 
-/// Run one `tile_exec` on a fresh connection with the given transport
-/// preference; return the decoded tiles plus the connection's byte
-/// counters.
-fn exec_tiles(addr: &str, mode: &str, prefer: WirePreference) -> (Vec<TilePlanes>, u64, u64) {
-    let mut conn = WireConn::connect(addr, None, prefer).expect("connect");
-    assert_eq!(conn.is_binary(), prefer == WirePreference::Auto);
-    let reply = conn
-        .request(&Message::json(tile_exec_request(mode)))
-        .expect("tile_exec");
+/// One `tile_exec` reply as it crossed the socket.
+struct TileReply {
+    /// The decoded tiles, in tile order.
+    tiles: Vec<TilePlanes>,
+    /// Each tile's (value, index) chunk width tags, as sent.
+    widths: Vec<(u8, u8)>,
+    /// Each tile's value plane, decoded.
+    planes: Vec<Vec<f64>>,
+    /// Bytes received: the upgrade reply plus the reply frame.
+    bytes_in: u64,
+}
+
+/// The width tag of every chunk in a frame payload, in order.
+fn chunk_widths(payload: &[u8]) -> Vec<u8> {
+    let u32_at = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = 4 + u32_at(0);
+    let count = u16::from_le_bytes([payload[at], payload[at + 1]]) as usize;
+    at += 2;
+    let mut widths = Vec::with_capacity(count);
+    for _ in 0..count {
+        widths.push(payload[at]);
+        at += 1 + 4 + 4 + u32_at(at + 5);
+    }
+    widths
+}
+
+/// Run one `tile_exec` on a fresh upgraded connection, reading the reply
+/// frame off the socket byte for byte.
+fn exec_tiles(addr: &str, mode: &str) -> TileReply {
+    let (mut reader, mut writer, upgrade_bytes) = upgrade_raw(addr);
+    let mut codec = FrameCodec::new();
+    let request = codec
+        .encode(&Message::json(tile_exec_request(mode)), true)
+        .expect("encode");
+    writer.write_all(request).expect("write");
+    let mut frame = vec![0u8; 8];
+    reader.read_exact(&mut frame).expect("header");
+    let len = u32::from_le_bytes(frame[4..8].try_into().unwrap()) as usize;
+    frame.resize(8 + len + 4, 0);
+    reader.read_exact(&mut frame[8..]).expect("payload");
+    let (reply, n) = codec.read(&mut &frame[..]).expect("decode").expect("frame");
+    assert_eq!(n as usize, frame.len());
     assert_eq!(
         reply.json.get("ok").and_then(Json::as_bool),
         Some(true),
         "{:?}",
         reply.json.get("error")
     );
+    let tags = chunk_widths(&frame[8..8 + len]);
+    let mut out = TileReply {
+        tiles: Vec::new(),
+        widths: Vec::new(),
+        planes: Vec::new(),
+        bytes_in: upgrade_bytes + frame.len() as u64,
+    };
     let entries = reply
         .json
         .get("tiles")
         .and_then(Json::as_arr)
         .expect("tiles");
-    let mut tiles: Vec<_> = entries
-        .iter()
-        .map(|e| planes_of(e, &reply.chunks))
-        .collect();
-    tiles.sort_by_key(|t| t.0);
-    (tiles, conn.bytes_sent(), conn.bytes_received())
+    for entry in entries {
+        let field = |k: &str| entry.get(k).and_then(Json::as_u64).expect(k) as usize;
+        let (p_at, i_at) = (field("p_chunk"), field("i_chunk"));
+        let p = reply.chunks[p_at].clone().into_f64().expect("float chunk");
+        let i = reply.chunks[i_at].clone().into_i64().expect("index chunk");
+        assert_eq!(p.len(), field("n_query") * field("dims"));
+        out.tiles
+            .push(tile_planes(field("tile"), field("col0"), &p, i));
+        out.widths.push((tags[p_at], tags[i_at]));
+        out.planes.push(p);
+    }
+    assert!(out.tiles.windows(2).all(|w| w[0].0 < w[1].0), "tile order");
+    out
 }
 
-/// Tentpole acceptance: for every one of the 12 precision modes, the
-/// binary transport's planes are bit-identical to the JSON transport's —
-/// and materially smaller on the wire.
+/// The same two tiles executed in process, with no wire in between.
+fn in_process_tiles(service: &Service, mode: &str) -> Vec<TilePlanes> {
+    let request = tile_exec_request(mode);
+    let spec = parse_job_spec(request.get("job").expect("job")).expect("spec");
+    let run = service
+        .execute_tile_subset(&spec, &[0, 1])
+        .expect("in-process tiles");
+    let mut tiles: Vec<TilePlanes> = run
+        .results
+        .iter()
+        .map(|r| {
+            let (mut values, mut indices) = (Vec::new(), Vec::new());
+            mdmp_core::profile_planes_k_major(&r.profile, &mut values, &mut indices);
+            tile_planes(r.tile.index, r.tile.col0, &values, indices)
+        })
+        .collect();
+    tiles.sort_by_key(|t| t.0);
+    tiles
+}
+
+/// For every one of the 12 precision modes, the planes that cross the
+/// binary transport are bit-identical to the same tiles executed in
+/// process, and every value plane ships at its narrowest bit-exact width:
+/// 8 B in FP64, 4 B in FP32 and the tensor-core modes (FP32 accumulators),
+/// 2 B in the modes whose values are all half-exact.
 #[test]
-fn binary_transport_is_bit_identical_to_json_in_all_modes() {
+fn binary_tile_exec_is_bit_identical_to_in_process_in_all_modes() {
     let (_service, _server, addr) = start_node();
+    let local = Service::start(config());
     for mode in PrecisionMode::ALL {
         let label = mode.label();
-        let (json_tiles, _, json_in) = exec_tiles(&addr, label, WirePreference::Json);
-        let (bin_tiles, _, bin_in) = exec_tiles(&addr, label, WirePreference::Auto);
-        assert_eq!(json_tiles.len(), 2, "{label}");
+        let wire = exec_tiles(&addr, label);
+        assert_eq!(wire.tiles.len(), 2, "{label}");
         assert_eq!(
-            json_tiles, bin_tiles,
-            "{label}: binary and JSON planes must be bit-identical"
+            wire.tiles,
+            in_process_tiles(&local, label),
+            "{label}: binary planes must be bit-identical to the in-process tiles"
         );
-        assert!(
-            bin_in * 2 < json_in,
-            "{label}: binary reply ({bin_in} B) must be well under the JSON reply ({json_in} B)"
-        );
+        for ((p_width, i_width), plane) in wire.widths.iter().zip(&wire.planes) {
+            assert_eq!(*p_width, narrowest_width(plane), "{label}: value width");
+            assert_eq!(*i_width, 0, "{label}: index planes ride as varints");
+            let expect = match mode {
+                PrecisionMode::Fp64 => 8,
+                PrecisionMode::Fp32
+                | PrecisionMode::Fp16Tc
+                | PrecisionMode::Bf16Tc
+                | PrecisionMode::Tf32Tc => 4,
+                _ => 2,
+            };
+            assert_eq!(*p_width, expect, "{label}: value width");
+        }
     }
 }
 
 /// The narrowing pays: an FP32-mode reply (4-byte elements) is at least
-/// 4x smaller than the same reply over JSON (16 ASCII bytes per element).
+/// 4x smaller than both of its planes as 16-char hex cells would be.
 #[test]
 fn fp32_planes_shrink_at_least_four_fold() {
     let (_service, _server, addr) = start_node();
-    let (_, _, json_in) = exec_tiles(&addr, "fp32", WirePreference::Json);
-    let (_, _, bin_in) = exec_tiles(&addr, "fp32", WirePreference::Auto);
+    let wire = exec_tiles(&addr, "fp32");
+    let cells: usize = wire.planes.iter().map(Vec::len).sum();
+    let hex_bytes = 32 * cells as u64;
     assert!(
-        bin_in * 4 <= json_in,
-        "fp32 binary reply {bin_in} B vs JSON {json_in} B: expected >= 4x reduction"
+        wire.bytes_in * 4 <= hex_bytes,
+        "fp32 binary reply {} B vs {hex_bytes} B of hex planes: expected >= 4x reduction",
+        wire.bytes_in
     );
 }
 
-/// Streaming over the binary transport reports the same per-append reuse
-/// accounting as the JSON transport fed the same samples.
+fn stream_frame(pairs: Vec<(&str, Json)>, chunks: Vec<Chunk>) -> Message {
+    Message {
+        json: Json::obj(pairs),
+        chunks,
+    }
+}
+
+fn ok_json(reply: Message) -> Json {
+    assert_eq!(
+        reply.json.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{:?}",
+        reply.json.get("error")
+    );
+    reply.json
+}
+
+/// Streaming over the binary transport reports exactly the per-append
+/// reuse accounting of the same appends run in process, with the exact
+/// counts an append must produce, and ends on a bit-identical profile.
 #[test]
-fn binary_streaming_matches_json_streaming() {
-    let (_service, _server, addr) = start_node();
+fn binary_streaming_matches_in_process_streaming() {
+    let (service, _server, addr) = start_node();
+    let local = Service::start(config());
     let m = 8usize;
     let dims: Vec<Vec<f64>> = (0..2)
         .map(|k| {
@@ -153,114 +249,107 @@ fn binary_streaming_matches_json_streaming() {
                 .collect()
         })
         .collect();
+    let n_reference = dims[0].len() - m + 1;
     let initial = 32usize;
-    let series_json = |start: usize, len: usize| {
-        Json::Arr(
-            dims.iter()
-                .map(|d| {
-                    Json::Arr(
-                        d[start..start + len]
-                            .iter()
-                            .map(|&v| Json::num(v))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        )
-    };
-    let series_chunks = |start: usize, len: usize| -> Vec<Chunk> {
+    let window = |start: usize, len: usize| -> Vec<Vec<f64>> {
         dims.iter()
-            .map(|d| Chunk::F64(d[start..start + len].to_vec()))
+            .map(|d| d[start..start + len].to_vec())
             .collect()
     };
+    let chunks = |start: usize, len: usize| -> Vec<Chunk> {
+        window(start, len).into_iter().map(Chunk::F64).collect()
+    };
 
-    let mut json_conn = WireConn::connect(&addr, None, WirePreference::Json).expect("connect");
-    let mut bin_conn = WireConn::connect(&addr, None, WirePreference::Auto).expect("connect");
-    assert!(bin_conn.is_binary());
-
-    let json_open = json_conn
-        .request(&Message::json(Json::obj(vec![
-            ("op", Json::str("stream_open")),
-            ("m", Json::num(m as f64)),
-            ("mode", Json::str("fp16")),
-            ("reference", series_json(0, dims[0].len())),
-            ("query", series_json(0, initial)),
-        ])))
-        .expect("json open");
-    let mut open_chunks = series_chunks(0, dims[0].len());
-    open_chunks.append(&mut series_chunks(0, initial));
-    let bin_open = bin_conn
-        .request(&Message {
-            json: Json::obj(vec![
+    let cfg = MdmpConfig::new(m, PrecisionMode::Fp16);
+    let local_session = local
+        .stream_open(
+            MultiDimSeries::from_dims(window(0, dims[0].len())),
+            MultiDimSeries::from_dims(window(0, initial)),
+            cfg,
+        )
+        .expect("in-process open")
+        .id;
+    let mut conn = WireConn::connect(&addr, None, WirePreference::Auto).expect("connect");
+    let mut open_chunks = chunks(0, dims[0].len());
+    open_chunks.append(&mut chunks(0, initial));
+    let opened = ok_json(
+        conn.request(&stream_frame(
+            vec![
                 ("op", Json::str("stream_open")),
                 ("m", Json::num(m as f64)),
                 ("mode", Json::str("fp16")),
                 ("reference_chunks", Json::num(dims.len() as f64)),
                 ("query_chunks", Json::num(dims.len() as f64)),
-            ]),
-            chunks: open_chunks,
-        })
-        .expect("binary open");
-    let session_of = |reply: &Message| {
-        assert_eq!(
-            reply.json.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "{:?}",
-            reply.json.get("error")
-        );
-        reply
-            .json
-            .get("session")
-            .and_then(|s| s.get("session"))
-            .and_then(Json::as_u64)
-            .expect("session id")
-    };
-    let json_session = session_of(&json_open);
-    let bin_session = session_of(&bin_open);
+            ],
+            open_chunks,
+        ))
+        .expect("binary open"),
+    );
+    let session = opened
+        .get("session")
+        .and_then(|s| s.get("session"))
+        .and_then(Json::as_u64)
+        .expect("session id");
 
     let mut at = initial;
     while at < dims[0].len() {
         let len = 8.min(dims[0].len() - at);
-        let json_reply = json_conn
-            .request(&Message::json(Json::obj(vec![
-                ("op", Json::str("stream_append")),
-                ("session", Json::num(json_session as f64)),
-                ("side", Json::str("query")),
-                ("samples", series_json(at, len)),
-            ])))
-            .expect("json append");
-        let bin_reply = bin_conn
-            .request(&Message {
-                json: Json::obj(vec![
+        let expect = local
+            .stream_append(local_session, AppendSide::Query, &window(at, len))
+            .expect("in-process append");
+        let reply = ok_json(
+            conn.request(&stream_frame(
+                vec![
                     ("op", Json::str("stream_append")),
-                    ("session", Json::num(bin_session as f64)),
+                    ("session", Json::num(session as f64)),
                     ("side", Json::str("query")),
                     ("samples_chunks", Json::num(dims.len() as f64)),
-                ]),
-                chunks: series_chunks(at, len),
-            })
-            .expect("binary append");
+                ],
+                chunks(at, len),
+            ))
+            .expect("binary append"),
+        );
         at += len;
-        for key in ["reused_segments", "fresh_segments", "reused_precalc"] {
+        let count = |key: &str| reply.get(key).and_then(Json::as_u64).expect(key);
+        assert_eq!(count("reused_segments"), expect.reused_segments, "at {at}");
+        assert_eq!(count("fresh_segments"), expect.fresh_segments, "at {at}");
+        assert_eq!(
+            reply.get("reused_precalc").and_then(Json::as_bool),
+            Some(expect.reused_precalc),
+            "at {at}"
+        );
+        // A query append reuses every reference segment and computes
+        // only the new query segments.
+        assert_eq!(count("reused_segments"), n_reference as u64, "at {at}");
+        assert_eq!(count("fresh_segments"), len as u64, "at {at}");
+        assert!(expect.reused_precalc, "at {at}");
+        let n_query = reply
+            .get("session")
+            .and_then(|s| s.get("n_query"))
+            .and_then(Json::as_u64)
+            .expect("n_query");
+        assert_eq!(n_query, expect.summary.n_query as u64, "at {at}");
+        assert_eq!(n_query as usize, at - m + 1, "at {at}");
+    }
+    let served = service.sessions.profile(session).expect("served profile");
+    let expect = local
+        .sessions
+        .profile(local_session)
+        .expect("local profile");
+    assert_eq!(served.n_query(), expect.n_query());
+    for k in 0..expect.dims() {
+        for j in 0..expect.n_query() {
             assert_eq!(
-                json_reply.json.get(key).map(Json::to_string),
-                bin_reply.json.get(key).map(Json::to_string),
-                "append accounting '{key}' diverged at sample {at}"
+                served.value(j, k).to_bits(),
+                expect.value(j, k).to_bits(),
+                "value bits at dim {k} column {j}"
+            );
+            assert_eq!(
+                served.index(j, k),
+                expect.index(j, k),
+                "index at dim {k} column {j}"
             );
         }
-        assert_eq!(
-            json_reply
-                .json
-                .get("session")
-                .and_then(|s| s.get("n_query"))
-                .map(Json::to_string),
-            bin_reply
-                .json
-                .get("session")
-                .and_then(|s| s.get("n_query"))
-                .map(Json::to_string),
-            "profile columns diverged at sample {at}"
-        );
     }
 }
 
@@ -352,8 +441,9 @@ fn binary_chunk_counts_must_match_the_frame() {
 }
 
 /// Upgrade, then read/write raw frames on the socket — the corruption
-/// harness needs byte-level control the `WireConn` client hides.
-fn upgrade_raw(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
+/// harness needs byte-level control the `WireConn` client hides. Also
+/// returns the size of the upgrade reply line.
+fn upgrade_raw(addr: &str) -> (BufReader<TcpStream>, TcpStream, u64) {
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream.try_clone().expect("clone");
@@ -370,7 +460,7 @@ fn upgrade_raw(addr: &str) -> (BufReader<TcpStream>, TcpStream) {
     reader.read_line(&mut line).expect("upgrade reply");
     let reply = Json::parse(line.trim()).expect("upgrade json");
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
-    (reader, stream)
+    (reader, stream, line.len() as u64)
 }
 
 fn ping_frame() -> Vec<u8> {
@@ -389,7 +479,7 @@ fn ping_frame() -> Vec<u8> {
 #[test]
 fn corrupted_frames_get_typed_errors_and_the_server_survives() {
     let (service, _server, addr) = start_node();
-    let (mut reader, mut writer) = upgrade_raw(&addr);
+    let (mut reader, mut writer, _) = upgrade_raw(&addr);
     let mut codec = FrameCodec::new();
 
     // Baseline: a valid ping round-trips.
@@ -434,8 +524,7 @@ fn corrupted_frames_get_typed_errors_and_the_server_survives() {
     );
 
     // The server itself is unharmed: a fresh connection works.
-    let (tiles, _, _) = exec_tiles(&addr, "fp16", WirePreference::Auto);
-    assert_eq!(tiles.len(), 2);
+    assert_eq!(exec_tiles(&addr, "fp16").tiles.len(), 2);
 }
 
 /// A frame truncated mid-payload (client dies) severs only that
@@ -444,7 +533,7 @@ fn corrupted_frames_get_typed_errors_and_the_server_survives() {
 fn truncated_frame_kills_only_its_connection() {
     let (_service, _server, addr) = start_node();
     {
-        let (mut reader, mut writer) = upgrade_raw(&addr);
+        let (mut reader, mut writer, _) = upgrade_raw(&addr);
         let frame = ping_frame();
         writer.write_all(&frame[..frame.len() / 2]).expect("write");
         writer
@@ -455,8 +544,7 @@ fn truncated_frame_kills_only_its_connection() {
         std::io::Read::read_to_end(&mut reader, &mut rest).expect("drain");
         assert!(rest.is_empty(), "no reply to an unfinished frame");
     }
-    let (tiles, _, _) = exec_tiles(&addr, "fp32", WirePreference::Auto);
-    assert_eq!(tiles.len(), 2);
+    assert_eq!(exec_tiles(&addr, "fp32").tiles.len(), 2);
 }
 
 /// A version the server does not speak is declined — and the connection
@@ -496,7 +584,7 @@ fn unsupported_upgrade_version_falls_back_to_json() {
 #[test]
 fn wire_bytes_are_surfaced_in_metrics_and_stats() {
     let (service, _server, addr) = start_node();
-    let _ = exec_tiles(&addr, "fp32", WirePreference::Auto);
+    let _ = exec_tiles(&addr, "fp32");
     let text = service.metrics_text();
     assert!(
         text.contains("mdmp_wire_bytes_sent_total{encoding=\"binary\",op=\"tile_exec\"}"),
