@@ -5,7 +5,7 @@
 //! fallback.
 
 use mdmp_cluster::{run_cluster, ClusterConfig, NodeClient, NodeError};
-use mdmp_core::{run_with_mode, MatrixProfile};
+use mdmp_core::{compute_tile_list, run_with_mode, MatrixProfile};
 use mdmp_gpu_sim::{DeviceSpec, GpuSystem};
 use mdmp_service::{
     job_spec_json, serve, JobInput, JobSpec, Json, Priority, Server, Service, ServiceConfig,
@@ -89,31 +89,51 @@ fn config(addrs: &[String]) -> ClusterConfig {
     cfg
 }
 
+/// The cells a job's tiles ship: each tile returns its column block in
+/// every dimension, so a column covered by several row blocks ships once
+/// per block.
+fn shipped_cells(spec: &JobSpec) -> u64 {
+    let (reference, query) = spec.materialize().expect("materialize");
+    compute_tile_list(
+        reference.n_segments(spec.m),
+        query.n_segments(spec.m),
+        spec.tiles,
+    )
+    .expect("tile list")
+    .iter()
+    .map(|t| (t.cols * reference.dims()) as u64)
+    .sum()
+}
+
 /// Binary cluster runs merge profiles bit-identical to the single-node
 /// ground truth in the wide, narrow-float and half precision modes. Each
-/// run receives fewer bytes than its planes would take as 16-char hex
-/// cells, and narrower modes receive fewer bytes.
+/// run receives less than half the bytes its shipped planes would take
+/// as 16-char hex cells (32 B per cell for both planes), and each
+/// narrowing step saves at least its value-width cut on every profile
+/// cell: 4 B from fp64 to fp32, 2 B from fp32 to fp16.
 #[test]
 fn binary_cluster_merges_bit_identically_to_single_node() {
     let (_servers, addrs) = start_nodes(2);
     let mut received = Vec::new();
+    let mut cells = 0;
     for mode in ["fp64", "fp32", "fp16"] {
         let spec = spec(mode);
         let local = single_node_profile(&spec);
         let run = run_cluster(&spec, &config(&addrs))
             .unwrap_or_else(|e| panic!("binary cluster run in {mode}: {e}"));
         assert_bit_identical(&run.profile, &local, &format!("{mode} binary"));
-        let hex_bytes = 32 * (local.n_query() * local.dims()) as u64;
+        let hex_bytes = 32 * shipped_cells(&spec);
         let bytes = run.wire_bytes_received();
         assert!(
-            bytes < hex_bytes,
+            bytes * 2 < hex_bytes,
             "{mode}: binary moved {bytes} B vs {hex_bytes} B of hex planes"
         );
         received.push(bytes);
+        cells = (local.n_query() * local.dims()) as u64;
     }
     assert!(
-        received[0] > received[1] && received[1] > received[2],
-        "fp64 > fp32 > fp16 received bytes: {received:?}"
+        received[0] >= received[1] + 4 * cells && received[1] >= received[2] + 2 * cells,
+        "fp64 - fp32 >= 4 B/cell and fp32 - fp16 >= 2 B/cell over {cells} cells: {received:?}"
     );
 }
 
