@@ -433,12 +433,11 @@ pub fn run_cluster(spec: &JobSpec, cluster: &ClusterConfig) -> Result<ClusterRun
         _ => spec,
     };
     let job = job_spec_json(spec).map_err(ClusterError::BadSpec)?;
-    let (reference, query) = spec.materialize().map_err(ClusterError::BadSpec)?;
-    let cfg = spec.config();
-    let n_r = reference.n_segments(cfg.m);
-    let n_q = query.n_segments(cfg.m);
-    let total = job_tile_count(n_r, n_q, &cfg).map_err(|e| ClusterError::BadSpec(e.to_string()))?;
-    let dims = reference.dims();
+    // The coordinator needs only the job's size; the nodes materialize
+    // its series.
+    let shape = spec.shape().map_err(ClusterError::BadSpec)?;
+    let total = job_tile_count(shape.n_reference, shape.n_query, &spec.config())
+        .map_err(|e| ClusterError::BadSpec(e.to_string()))?;
     let n_nodes = cluster.nodes.len();
     let started = Instant::now();
 
@@ -474,7 +473,7 @@ pub fn run_cluster(spec: &JobSpec, cluster: &ClusterConfig) -> Result<ClusterRun
     }
     drop(tx);
 
-    let mut merge = ReorderMerge::new(n_q, dims, total);
+    let mut merge = ReorderMerge::new(shape.n_query, shape.dims, total);
     let mut tile_seconds = vec![0.0; total];
     let mut fatal: Option<ClusterError> = None;
     while !merge.is_complete() {

@@ -148,6 +148,33 @@ impl SyntheticConfig {
     pub fn series_len(&self) -> usize {
         self.n_subsequences + self.m - 1
     }
+
+    /// Why [`generate_pair`] cannot honour this configuration, if it
+    /// cannot: it needs `n ≥ 1`, `d ≥ 1`, `m ≥ 2`, and room for every
+    /// embedding at its minimum spacing of `2m` segments
+    /// (`n ≥ embeddings × 2m`).
+    pub fn check(&self) -> Result<(), String> {
+        if self.n_subsequences == 0 || self.dims == 0 {
+            return Err(format!(
+                "synthetic input needs n >= 1 and d >= 1, got n = {} and d = {}",
+                self.n_subsequences, self.dims
+            ));
+        }
+        if self.m < 2 {
+            return Err(format!("synthetic input needs m >= 2, got m = {}", self.m));
+        }
+        let room = self
+            .m
+            .checked_mul(2)
+            .and_then(|gap| gap.checked_mul(self.embeddings));
+        if room.is_none_or(|room| room > self.n_subsequences) {
+            return Err(format!(
+                "synthetic input needs n >= {} x 2m to embed its patterns, got n = {} and m = {}",
+                self.embeddings, self.n_subsequences, self.m
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// A generated (reference, query) pair with known embedding locations.
@@ -373,6 +400,28 @@ mod tests {
     fn pattern_render_length() {
         for p in Pattern::ALL {
             assert_eq!(p.render(77).len(), 77);
+        }
+    }
+
+    #[test]
+    fn check_refuses_what_the_generator_cannot_place() {
+        let cfg = |n_subsequences, dims, m| SyntheticConfig {
+            n_subsequences,
+            dims,
+            m,
+            embeddings: 2,
+            ..small_cfg()
+        };
+        for (n, d, m) in [(0, 2, 8), (64, 0, 8), (64, 2, 1), (64, 2, 0), (31, 2, 8)] {
+            assert!(cfg(n, d, m).check().is_err(), "n={n} d={d} m={m}");
+        }
+        assert!(cfg(usize::MAX, 1, usize::MAX / 2).check().is_err());
+        // The tightest fit the check accepts generates.
+        for m in [2, 3, 8, 17] {
+            let tight = cfg(4 * m, 1, m);
+            assert_eq!(tight.check(), Ok(()));
+            let pair = generate_pair(&tight);
+            assert_eq!(pair.reference.n_segments(m), 4 * m);
         }
     }
 }

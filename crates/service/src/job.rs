@@ -174,19 +174,8 @@ impl JobSpec {
                 noise,
                 seed,
             } => {
-                if *pattern >= Pattern::ALL.len() {
-                    return Err(format!("pattern index {pattern} out of range"));
-                }
-                let pair = mdmp_data::synthetic::generate_pair(&SyntheticConfig {
-                    n_subsequences: *n,
-                    dims: *d,
-                    m: self.m,
-                    pattern: Pattern::ALL[*pattern],
-                    embeddings: 2,
-                    noise: *noise,
-                    pattern_amplitude: 1.0,
-                    seed: *seed,
-                });
+                let cfg = synthetic_config(*n, *d, *pattern, *noise, *seed, self.m)?;
+                let pair = mdmp_data::synthetic::generate_pair(&cfg);
                 Ok((Arc::new(pair.reference), Arc::new(pair.query)))
             }
             JobInput::Csv { reference, query } => {
@@ -199,6 +188,84 @@ impl JobSpec {
             }
         }
     }
+
+    /// Refuse a synthetic input the generator cannot produce (`n = 0`,
+    /// `d = 0`, `m < 2`, too little room for its embeddings, an unknown
+    /// pattern) with the error [`JobSpec::materialize`] would return.
+    /// Other inputs pass: their series are only known once read.
+    pub fn check_input(&self) -> Result<(), String> {
+        match &self.input {
+            JobInput::Synthetic {
+                n,
+                d,
+                pattern,
+                noise,
+                seed,
+            } => synthetic_config(*n, *d, *pattern, *noise, *seed, self.m).map(drop),
+            JobInput::Csv { .. } | JobInput::InMemory { .. } => Ok(()),
+        }
+    }
+
+    /// The job's segment counts and dimensionality. A synthetic input is
+    /// sized from its spec, `(n, n, d)`, without generating it, and
+    /// refused exactly where [`JobSpec::materialize`] refuses it; other
+    /// inputs are materialized (a CSV input reads its files). A series
+    /// shorter than `m` has 0 segments.
+    pub fn shape(&self) -> Result<JobShape, String> {
+        if let JobInput::Synthetic { n, d, .. } = &self.input {
+            self.check_input()?;
+            return Ok(JobShape {
+                n_reference: *n,
+                n_query: *n,
+                dims: *d,
+            });
+        }
+        let (reference, query) = self.materialize()?;
+        let segments = |s: &MultiDimSeries| (s.len() + 1).saturating_sub(self.m);
+        Ok(JobShape {
+            n_reference: segments(&reference),
+            n_query: segments(&query),
+            dims: reference.dims(),
+        })
+    }
+}
+
+/// The generator configuration of a synthetic input at segment length `m`,
+/// checked so that generation cannot panic.
+fn synthetic_config(
+    n: usize,
+    d: usize,
+    pattern: usize,
+    noise: f64,
+    seed: u64,
+    m: usize,
+) -> Result<SyntheticConfig, String> {
+    let Some(&pattern) = Pattern::ALL.get(pattern) else {
+        return Err(format!("pattern index {pattern} out of range"));
+    };
+    let cfg = SyntheticConfig {
+        n_subsequences: n,
+        dims: d,
+        m,
+        pattern,
+        embeddings: 2,
+        noise,
+        pattern_amplitude: 1.0,
+        seed,
+    };
+    cfg.check()?;
+    Ok(cfg)
+}
+
+/// A job's size: segment counts of both series and their dimensionality.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JobShape {
+    /// Reference segments `n_r`.
+    pub n_reference: usize,
+    /// Query segments `n_q`.
+    pub n_query: usize,
+    /// Dimensionality `d`.
+    pub dims: usize,
 }
 
 /// Lifecycle state of a job.
@@ -318,6 +385,114 @@ mod tests {
         let (r2, q2) = spec.materialize().unwrap();
         assert_eq!(r1.dim(0), r2.dim(0));
         assert_eq!(q1.dim(1), q2.dim(1));
+    }
+
+    /// A synthetic spec at the given size; every other field fixed.
+    fn synthetic(n: usize, d: usize, m: usize, pattern: usize) -> JobSpec {
+        JobSpec {
+            input: JobInput::Synthetic {
+                n,
+                d,
+                pattern,
+                noise: 0.3,
+                seed: 5,
+            },
+            m,
+            ..JobSpec::in_memory(
+                Arc::new(MultiDimSeries::univariate(vec![0.0; 4])),
+                Arc::new(MultiDimSeries::univariate(vec![0.0; 4])),
+                m,
+                PrecisionMode::Fp32,
+            )
+        }
+    }
+
+    /// The shape of materialized inputs, as the coordinator used to read it.
+    fn materialized_shape(spec: &JobSpec) -> Result<JobShape, String> {
+        let (reference, query) = spec.materialize()?;
+        Ok(JobShape {
+            n_reference: reference.n_segments(spec.m),
+            n_query: query.n_segments(spec.m),
+            dims: reference.dims(),
+        })
+    }
+
+    #[test]
+    fn shape_matches_materialization_and_refuses_the_same_specs() {
+        let mut refused = 0;
+        for pattern in 0..=Pattern::ALL.len() {
+            for n in [0, 1, 7, 8, 15, 16, 31, 32, 33, 100] {
+                for d in [0, 1, 3] {
+                    for m in [0, 1, 2, 4, 8, 9] {
+                        let spec = synthetic(n, d, m, pattern);
+                        let what = format!("n={n} d={d} m={m} pattern={pattern}");
+                        let shape = spec.shape();
+                        assert_eq!(shape, materialized_shape(&spec), "{what}");
+                        assert_eq!(spec.check_input(), shape.clone().map(drop), "{what}");
+                        if let Ok(shape) = shape {
+                            assert_eq!((shape.n_reference, shape.dims), (n, d), "{what}");
+                        } else {
+                            refused += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // Each degenerate axis is refused on its own: n = 0, d = 0,
+        // m < 2, n < 4m and an unknown pattern.
+        for spec in [
+            synthetic(0, 2, 8, 0),
+            synthetic(64, 0, 8, 0),
+            synthetic(64, 2, 1, 0),
+            synthetic(31, 2, 8, 0),
+            synthetic(64, 2, 8, Pattern::ALL.len()),
+        ] {
+            assert!(spec.check_input().is_err(), "{:?}", spec.input);
+        }
+        assert!(refused > 0);
+    }
+
+    #[test]
+    fn shape_of_a_csv_input_reads_its_files() {
+        let dir = std::env::temp_dir().join(format!("mdmp-job-shape-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let reference = dir.join("r.csv");
+        let query = dir.join("q.csv");
+        let rows = |len: usize| {
+            (0..len)
+                .map(|t| format!("{},{}\n", (t as f64 * 0.3).sin(), t % 5))
+                .collect::<String>()
+        };
+        std::fs::write(&reference, rows(40)).unwrap();
+        std::fs::write(&query, rows(25)).unwrap();
+        let csv = |query: Option<std::path::PathBuf>, m: usize| JobSpec {
+            input: JobInput::Csv {
+                reference: reference.clone(),
+                query,
+            },
+            ..synthetic(64, 2, m, 0)
+        };
+        for (query, m, expect) in [
+            (Some(query.clone()), 8, (33, 18)),
+            (None, 8, (33, 33)),
+            (Some(query.clone()), 25, (16, 1)),
+        ] {
+            let spec = csv(query, m);
+            let shape = spec.shape().unwrap();
+            assert_eq!(Ok(shape), materialized_shape(&spec));
+            assert_eq!(
+                (shape.n_reference, shape.n_query, shape.dims),
+                (expect.0, expect.1, 2)
+            );
+        }
+        // A query shorter than m has no segments; the driver refuses it.
+        let short = csv(Some(query.clone()), 26).shape().unwrap();
+        assert_eq!((short.n_reference, short.n_query), (15, 0));
+        // A missing file is refused with materialize's error.
+        let missing = csv(Some(dir.join("absent.csv")), 8);
+        assert!(missing.shape().is_err());
+        assert_eq!(missing.shape().err(), missing.materialize().err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

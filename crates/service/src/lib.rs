@@ -43,7 +43,7 @@ pub(crate) mod sync;
 pub mod wire;
 
 pub use cache::{series_fingerprint, CacheKey, CacheStats, PrecalcCache};
-pub use job::{JobId, JobInput, JobOutcome, JobSpec, JobState, JobStatus, Priority};
+pub use job::{JobId, JobInput, JobOutcome, JobShape, JobSpec, JobState, JobStatus, Priority};
 pub use metrics::{MetricsRegistry, ServiceStats};
 pub use pool::DevicePool;
 pub use proto::Json;

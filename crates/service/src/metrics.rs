@@ -270,6 +270,9 @@ pub struct MetricsRegistry {
     pub tiles_served: Counter,
     /// `tile_exec` requests that failed (bad spec or exhausted retries).
     pub tile_exec_failures: Counter,
+    /// Job inputs materialized for `tile_exec`: one per job per binary
+    /// connection, since a connection keeps its job's series.
+    pub tile_exec_materializations: Counter,
     /// Streaming sessions opened.
     pub stream_opens: Counter,
     /// Streaming appends applied.
@@ -353,7 +356,7 @@ impl MetricsRegistry {
     /// Render the Prometheus-style text exposition page.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &Counter); 27] = [
+        let counters: [(&str, &Counter); 28] = [
             ("mdmp_jobs_submitted_total", &self.jobs_submitted),
             ("mdmp_jobs_rejected_total", &self.jobs_rejected),
             ("mdmp_jobs_completed_total", &self.jobs_completed),
@@ -383,6 +386,10 @@ impl MetricsRegistry {
             ("mdmp_tile_exec_requests_total", &self.tile_exec_requests),
             ("mdmp_tiles_served_total", &self.tiles_served),
             ("mdmp_tile_exec_failures_total", &self.tile_exec_failures),
+            (
+                "mdmp_tile_exec_materializations_total",
+                &self.tile_exec_materializations,
+            ),
             ("mdmp_stream_opens_total", &self.stream_opens),
             ("mdmp_stream_appends_total", &self.stream_appends),
             (
@@ -473,6 +480,7 @@ impl MetricsRegistry {
             tile_exec_requests: self.tile_exec_requests.get(),
             tiles_served: self.tiles_served.get(),
             tile_exec_failures: self.tile_exec_failures.get(),
+            tile_exec_materializations: self.tile_exec_materializations.get(),
             stream_opens: self.stream_opens.get(),
             stream_appends: self.stream_appends.get(),
             stream_append_failures: self.stream_append_failures.get(),
@@ -556,6 +564,8 @@ pub struct ServiceStats {
     pub tiles_served: u64,
     /// `tile_exec` requests that failed.
     pub tile_exec_failures: u64,
+    /// Job inputs materialized for `tile_exec`.
+    pub tile_exec_materializations: u64,
     /// Streaming sessions opened.
     pub stream_opens: u64,
     /// Streaming appends applied.

@@ -16,6 +16,7 @@ use crate::queue::{JobQueue, SubmitError};
 use crate::session::SessionManager;
 use crate::sync;
 use mdmp_core::{run_tile_subset, run_with_mode_cached, TileSubsetRun};
+use mdmp_data::MultiDimSeries;
 use mdmp_gpu_sim::DeviceSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,6 +57,32 @@ impl Default for ServiceConfig {
             retry_base: Duration::from_millis(10),
             retry_cap: Duration::from_secs(1),
         }
+    }
+}
+
+/// A job's input series, materialized once, and the precalc cache key
+/// they fingerprint to. A queued job builds one per run; a binary
+/// connection keeps the one its `tile_exec`s name (DESIGN.md §12).
+#[derive(Debug)]
+pub(crate) struct JobInputs {
+    /// The reference series.
+    pub(crate) reference: Arc<MultiDimSeries>,
+    /// The query series.
+    pub(crate) query: Arc<MultiDimSeries>,
+    /// The precalc cache key of the job over these series.
+    pub(crate) key: CacheKey,
+}
+
+impl JobInputs {
+    /// Generate or read `spec`'s series and fingerprint them.
+    pub(crate) fn materialize(spec: &JobSpec) -> Result<JobInputs, String> {
+        let (reference, query) = spec.materialize()?;
+        let key = CacheKey::for_job(&reference, &query, spec.m, spec.mode, spec.tiles);
+        Ok(JobInputs {
+            reference,
+            query,
+            key,
+        })
     }
 }
 
@@ -141,6 +168,7 @@ impl Service {
         if spec.tiles == 0 {
             return Err(SubmitError::BadSpec("tiles must be at least 1".into()));
         }
+        spec.check_input().map_err(SubmitError::BadSpec)?;
         if spec.gpus == 0 || spec.gpus > self.pool.total() {
             return Err(SubmitError::BadSpec(format!(
                 "gpus must be in 1..={}",
@@ -436,14 +464,39 @@ impl Service {
     /// protocol, DESIGN.md §12). Bypasses the job queue — the coordinator
     /// owns scheduling — but leases devices from the same pool and shares
     /// the fingerprint-keyed precalc cache, so repeated shards of the same
-    /// job reuse bit-identical precalc.
+    /// job reuse bit-identical precalc. Materializes the job's inputs
+    /// first; a binary connection that already holds them (`tile_exec`)
+    /// executes over those instead.
     pub fn execute_tile_subset(
         &self,
         spec: &JobSpec,
         tiles: &[usize],
     ) -> Result<TileSubsetRun, String> {
+        let inputs = self.materialize_tile_job(spec)?;
+        self.execute_tiles(spec, &inputs, tiles)
+    }
+
+    /// Materialize a job's inputs for `tile_exec`, counted in
+    /// `tile_exec_materializations`. A failure is a failed `tile_exec`
+    /// request: nothing is left to execute.
+    pub(crate) fn materialize_tile_job(&self, spec: &JobSpec) -> Result<JobInputs, String> {
+        self.metrics.tile_exec_materializations.inc();
+        JobInputs::materialize(spec).inspect_err(|_| {
+            self.metrics.tile_exec_requests.inc();
+            self.metrics.tile_exec_failures.inc();
+        })
+    }
+
+    /// [`Service::execute_tile_subset`] over inputs already materialized
+    /// from `spec`.
+    pub(crate) fn execute_tiles(
+        &self,
+        spec: &JobSpec,
+        inputs: &JobInputs,
+        tiles: &[usize],
+    ) -> Result<TileSubsetRun, String> {
         self.metrics.tile_exec_requests.inc();
-        let run = self.execute_tile_subset_inner(spec, tiles);
+        let run = self.execute_tiles_inner(spec, inputs, tiles);
         match &run {
             Ok(run) => self.metrics.tiles_served.add(run.results.len() as u64),
             Err(_) => self.metrics.tile_exec_failures.inc(),
@@ -451,21 +504,27 @@ impl Service {
         run
     }
 
-    fn execute_tile_subset_inner(
+    fn execute_tiles_inner(
         &self,
         spec: &JobSpec,
+        inputs: &JobInputs,
         tiles: &[usize],
     ) -> Result<TileSubsetRun, String> {
         if spec.gpus == 0 || spec.gpus > self.pool.total() {
             return Err(format!("gpus must be in 1..={}", self.pool.total()));
         }
-        let (reference, query) = spec.materialize()?;
         let cfg = spec.config().with_host_workers(self.cfg.host_workers);
-        let key = CacheKey::for_job(&reference, &query, spec.m, spec.mode, spec.tiles);
         let mut system = self.pool.lease(spec.gpus);
         self.metrics.devices_leased.add(spec.gpus as i64);
-        let store = self.cache.store_for(key);
-        let run = run_tile_subset(&reference, &query, &cfg, &mut system, Some(&store), tiles);
+        let store = self.cache.store_for(inputs.key.clone());
+        let run = run_tile_subset(
+            &inputs.reference,
+            &inputs.query,
+            &cfg,
+            &mut system,
+            Some(&store),
+            tiles,
+        );
         self.metrics.devices_leased.add(-(spec.gpus as i64));
         self.pool.release(system);
         let run = run.map_err(|e| e.to_string())?;
@@ -484,11 +543,10 @@ impl Service {
     fn run_with_retries(&self, id: JobId, spec: &JobSpec) -> Result<JobOutcome, String> {
         // Materialization failures (bad path, bad shape) are permanent —
         // no retry.
-        let (reference, query) = spec.materialize()?;
+        let inputs = JobInputs::materialize(spec)?;
         // Service-level host-worker setting applies to every job; `0`
         // leaves the core driver's auto resolution in charge.
         let cfg = spec.config().with_host_workers(self.cfg.host_workers);
-        let key = CacheKey::for_job(&reference, &query, spec.m, spec.mode, spec.tiles);
         let job_deadline = spec.deadline_ms.map(Duration::from_millis);
         let job_start = Instant::now();
         let mut attempt = 0u32;
@@ -503,8 +561,14 @@ impl Service {
             let system = self.pool.lease(spec.gpus);
             self.metrics.devices_leased.add(spec.gpus as i64);
             let mut system = system;
-            let store = self.cache.store_for(key.clone());
-            let run = run_with_mode_cached(&reference, &query, &cfg, &mut system, Some(&store));
+            let store = self.cache.store_for(inputs.key.clone());
+            let run = run_with_mode_cached(
+                &inputs.reference,
+                &inputs.query,
+                &cfg,
+                &mut system,
+                Some(&store),
+            );
             self.metrics.devices_leased.add(-(spec.gpus as i64));
             self.pool.release(system);
             match run {

@@ -34,10 +34,15 @@
 //! (DESIGN.md §12): it executes the listed tiles of the job synchronously
 //! and returns one entry per tile whose k-major value and index planes
 //! ride as the chunks its `p_chunk`/`i_chunk` fields name, bit-exactly.
+//! A connection keeps the inputs of the job its last `tile_exec` named
+//! (both series and their precalc cache key), so a coordinator that sends
+//! every tile of a run down one connection has the node generate and
+//! fingerprint the job once; the coordinator itself only sizes the job
+//! from its spec ([`JobSpec::shape`]).
 
 use crate::job::{JobInput, JobOutcome, JobSpec, JobStatus, Priority};
 use crate::proto::Json;
-use crate::scheduler::Service;
+use crate::scheduler::{JobInputs, Service};
 use crate::session::{AppendSide, SessionSummary};
 use crate::wire::{Chunk, FrameCodec, Message, WireError, WIRE_VERSION};
 use mdmp_core::MdmpConfig;
@@ -282,6 +287,24 @@ fn read_request_line(
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
+/// Read one reply line of at most [`MAX_LINE_BYTES`] on the client side
+/// of a connection: the server's own cap, so a peer that never sends a
+/// newline cannot make a client buffer without limit. End of stream and
+/// an over-long line are I/O errors.
+pub(crate) fn read_reply_line(reader: impl BufRead, buf: &mut Vec<u8>) -> io::Result<&str> {
+    match read_request_line(reader, buf, MAX_LINE_BYTES)? {
+        RequestLine::Line(line) => Ok(line),
+        RequestLine::Eof => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed by peer",
+        )),
+        RequestLine::TooLong => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("reply line exceeds the {MAX_LINE_BYTES}-byte cap"),
+        )),
+    }
+}
+
 fn write_json_line(
     service: &Service,
     writer: &mut BufWriter<TcpStream>,
@@ -315,6 +338,7 @@ fn serve_binary(
     served_shutdown: &AtomicBool,
 ) -> io::Result<()> {
     let mut codec = FrameCodec::new();
+    let mut tile_job = None;
     loop {
         match codec.read(reader) {
             Ok(None) => return Ok(()),
@@ -340,7 +364,7 @@ fn serve_binary(
                     .metrics
                     .wire_bytes_received
                     .add("binary", label, frame_bytes);
-                let reply = match dispatch_binary(service, msg, stop) {
+                let reply = match dispatch_binary(service, msg, &mut tile_job, stop) {
                     BinaryReply::Drop => return Ok(()),
                     BinaryReply::Message(reply) => reply,
                 };
@@ -480,13 +504,23 @@ enum BinaryReply {
     Drop,
 }
 
+/// The job a binary connection's `tile_exec`s last named: its wire form
+/// and its inputs, materialized once for as long as later requests name
+/// an equal job object.
+type TileJob = (Json, JobInputs);
+
 /// Dispatch one decoded frame. The bulk ops (`tile_exec`, `stream_open`,
 /// `stream_append`) are served here; the control ops reuse [`dispatch`]
 /// wrapped in a chunkless frame. Takes the message by value so chunk
 /// planes move instead of copying.
-fn dispatch_binary(service: &Service, msg: Message, stop: &AtomicBool) -> BinaryReply {
+fn dispatch_binary(
+    service: &Service,
+    msg: Message,
+    tile_job: &mut Option<TileJob>,
+    stop: &AtomicBool,
+) -> BinaryReply {
     match msg.json.get("op").and_then(Json::as_str) {
-        Some("tile_exec") => BinaryReply::Message(tile_exec(service, &msg.json)),
+        Some("tile_exec") => BinaryReply::Message(tile_exec(service, &msg.json, tile_job)),
         Some("stream_open") => BinaryReply::Message(Message::json(stream_open(service, msg))),
         Some("stream_append") => BinaryReply::Message(Message::json(stream_append(service, msg))),
         _ => match dispatch(service, &msg.json, stop) {
@@ -573,6 +607,11 @@ pub fn job_spec_json(spec: &JobSpec) -> Result<Json, String> {
 /// string (e.g. `"seed=7,kernel@0,stall@3:40"`), `tile_retries` the
 /// per-tile retry budget (default 2), `tile_deadline_ms` the per-kernel
 /// deadline, `deadline_ms` the whole-job deadline.
+///
+/// A synthetic input the generator cannot produce (`n = 0`, `d = 0`,
+/// `m < 2`, `n < 4m`, an unknown pattern) is refused here
+/// ([`JobSpec::check_input`]), so neither `submit` nor `tile_exec` hands
+/// it to a thread that would panic generating it.
 pub fn parse_job_spec(job: &Json) -> Result<JobSpec, String> {
     let input = job.get("input").ok_or("missing 'input'")?;
     let kind = input
@@ -587,7 +626,10 @@ pub fn parse_job_spec(job: &Json) -> Result<JobSpec, String> {
                 .ok_or("synthetic input needs 'n'")? as usize,
             d: input.get("d").and_then(Json::as_u64).unwrap_or(1) as usize,
             pattern: input.get("pattern").and_then(Json::as_u64).unwrap_or(0) as usize,
-            noise: input.get("noise").and_then(Json::as_f64).unwrap_or(0.3),
+            // `+ 0.0` folds `-0` into `0`: JSON numbers compare by value, and
+            // a connection that keeps a job's inputs (`tile_exec`) takes two
+            // equal job objects for the same series.
+            noise: input.get("noise").and_then(Json::as_f64).unwrap_or(0.3) + 0.0,
             seed: input.get("seed").and_then(Json::as_u64).unwrap_or(42),
         },
         "csv" => JobInput::Csv {
@@ -618,7 +660,7 @@ pub fn parse_job_spec(job: &Json) -> Result<JobSpec, String> {
         )),
         None => None,
     };
-    Ok(JobSpec {
+    let spec = JobSpec {
         input,
         m: job.get("m").and_then(Json::as_u64).ok_or("missing 'm'")? as usize,
         mode,
@@ -635,7 +677,9 @@ pub fn parse_job_spec(job: &Json) -> Result<JobSpec, String> {
             .map(|k| k as usize),
         tile_deadline_ms: job.get("tile_deadline_ms").and_then(Json::as_u64),
         deadline_ms: job.get("deadline_ms").and_then(Json::as_u64),
-    })
+    };
+    spec.check_input()?;
+    Ok(spec)
 }
 
 fn status_json(status: &JobStatus) -> Json {
@@ -803,8 +847,8 @@ fn stats_json(service: &Service) -> Json {
     ])
 }
 
-/// Parse a `tile_exec` request's job spec and tile list.
-fn parse_tile_exec(request: &Json) -> Result<(JobSpec, Vec<usize>), String> {
+/// Parse a `tile_exec` request's job object, its spec and the tile list.
+fn parse_tile_exec(request: &Json) -> Result<(&Json, JobSpec, Vec<usize>), String> {
     let job = request.get("job").ok_or("missing 'job'")?;
     let spec = parse_job_spec(job)?;
     let tiles = request
@@ -821,7 +865,7 @@ fn parse_tile_exec(request: &Json) -> Result<(JobSpec, Vec<usize>), String> {
             None => return Err("tile indices must be non-negative integers".into()),
         }
     }
-    Ok((spec, indices))
+    Ok((job, spec, indices))
 }
 
 /// Serve a `tile_exec` request: parse the job spec and tile list, execute
@@ -830,12 +874,27 @@ fn parse_tile_exec(request: &Json) -> Result<(JobSpec, Vec<usize>), String> {
 /// seconds it cost — whose k-major planes (the
 /// [`mdmp_core::MatrixProfile::from_raw`] order) ride as the frame chunks
 /// its `p_chunk`/`i_chunk` indices name.
-fn tile_exec(service: &Service, request: &Json) -> Message {
-    let (spec, indices) = match parse_tile_exec(request) {
+///
+/// The job's inputs come from `tile_job` when its job object equals the
+/// request's; otherwise they are materialized and replace it, so a
+/// connection holds one job's series and generates or reads them once.
+fn tile_exec(service: &Service, request: &Json, tile_job: &mut Option<TileJob>) -> Message {
+    let (job, spec, indices) = match parse_tile_exec(request) {
         Ok(parsed) => parsed,
         Err(e) => return Message::json(error_response(&e)),
     };
-    match service.execute_tile_subset(&spec, &indices) {
+    // A different job's series are dropped (by `filter`) before this
+    // job's are materialized, so a connection never holds two jobs' inputs.
+    let (job, inputs) = match tile_job.take().filter(|(cached, _)| cached == job) {
+        Some(kept) => kept,
+        None => match service.materialize_tile_job(&spec) {
+            Ok(inputs) => (job.clone(), inputs),
+            Err(e) => return Message::json(error_response(&e)),
+        },
+    };
+    let run = service.execute_tiles(&spec, &inputs, &indices);
+    *tile_job = Some((job, inputs));
+    match run {
         Err(e) => Message::json(error_response(&e)),
         Ok(run) => {
             let mut chunks = Vec::with_capacity(run.results.len() * 2);
@@ -1021,15 +1080,14 @@ fn stream_append(service: &Service, msg: Message) -> Json {
 }
 
 /// One-shot client helper: connect, send `request` as one line, read one
-/// response line.
+/// response line of at most [`MAX_LINE_BYTES`].
 pub fn request(addr: &str, request: &Json) -> io::Result<Json> {
     let mut stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
     writeln!(stream, "{request}")?;
     stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let mut buf = Vec::new();
+    let line = read_reply_line(BufReader::new(stream), &mut buf)?;
     Json::parse(line.trim()).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
@@ -1313,6 +1371,207 @@ mod tests {
 
         server.stop();
         service.shutdown(true);
+    }
+
+    /// A synthetic `tile_exec` job object of four tiles.
+    fn scope_job(n: usize, d: usize, m: usize, seed: u64) -> Json {
+        Json::obj(vec![
+            (
+                "input",
+                Json::obj(vec![
+                    ("kind", Json::str("synthetic")),
+                    ("n", Json::num(n as f64)),
+                    ("d", Json::num(d as f64)),
+                    ("seed", Json::num(seed as f64)),
+                ]),
+            ),
+            ("m", Json::num(m as f64)),
+            ("mode", Json::str("fp32")),
+            ("tiles", Json::num(4.0)),
+        ])
+    }
+
+    /// One `tile_exec` of `tile` of `job` on `conn`.
+    fn exec_one(conn: &mut WireConn, job: &Json, tile: usize) -> Message {
+        conn.request(&Message::json(Json::obj(vec![
+            ("op", Json::str("tile_exec")),
+            ("job", job.clone()),
+            ("tiles", Json::Arr(vec![Json::num(tile as f64)])),
+        ])))
+        .unwrap()
+    }
+
+    /// A reply's value planes as bits, and its index planes.
+    fn reply_planes(reply: &Message) -> (Vec<u64>, Vec<i64>) {
+        assert_eq!(
+            reply.json.get("ok"),
+            Some(&Json::Bool(true)),
+            "{}",
+            reply.json
+        );
+        let values = reply.chunks[0].clone().into_f64().unwrap();
+        let indices = reply.chunks[1].clone().into_i64().unwrap();
+        (values.iter().map(|v| v.to_bits()).collect(), indices)
+    }
+
+    /// The same tile executed in process on `local`.
+    fn local_planes(local: &Service, job: &Json, tile: usize) -> (Vec<u64>, Vec<i64>) {
+        let spec = parse_job_spec(job).unwrap();
+        let run = local.execute_tile_subset(&spec, &[tile]).unwrap();
+        let (mut values, mut indices) = (Vec::new(), Vec::new());
+        mdmp_core::profile_planes_k_major(&run.results[0].profile, &mut values, &mut indices);
+        (values.iter().map(|v| v.to_bits()).collect(), indices)
+    }
+
+    #[test]
+    fn a_connection_materializes_each_job_once() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            devices: 1,
+            ..ServiceConfig::default()
+        });
+        let mut server = serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr().to_string();
+        let local = Service::start(ServiceConfig {
+            workers: 1,
+            devices: 1,
+            ..ServiceConfig::default()
+        });
+        let materialized = || service.stats().tile_exec_materializations;
+        let (a, b) = (scope_job(96, 2, 8, 7), scope_job(96, 2, 8, 8));
+
+        // Four tiles of one job on one connection: one materialization.
+        let mut first = frames(&addr);
+        for tile in 0..4 {
+            let reply = exec_one(&mut first, &a, tile);
+            assert_eq!(
+                reply_planes(&reply),
+                local_planes(&local, &a, tile),
+                "tile {tile}"
+            );
+        }
+        assert_eq!(materialized(), 1);
+
+        // A second connection for the same job materializes it again.
+        let mut second = frames(&addr);
+        reply_planes(&exec_one(&mut second, &a, 2));
+        assert_eq!(materialized(), 2);
+
+        // Jobs A, B, A on one connection: each switch materializes, and
+        // each reply is its own job's tile.
+        let mut third = frames(&addr);
+        for (job, tile) in [(&a, 1), (&b, 1), (&a, 3)] {
+            let reply = exec_one(&mut third, job, tile);
+            assert_eq!(reply_planes(&reply), local_planes(&local, job, tile));
+        }
+        assert_eq!(materialized(), 5);
+        assert_ne!(local_planes(&local, &a, 1), local_planes(&local, &b, 1));
+        assert_eq!(service.stats().tile_exec_requests, 8);
+        let text = service.metrics_text();
+        assert!(
+            text.contains("mdmp_tile_exec_materializations_total 5"),
+            "{text}"
+        );
+
+        server.stop();
+        service.shutdown(true);
+        local.shutdown(true);
+    }
+
+    #[test]
+    fn degenerate_synthetic_specs_are_refused_not_panicked_on() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            devices: 1,
+            ..ServiceConfig::default()
+        });
+        let mut server = serve(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr().to_string();
+
+        // n = 0, d = 0 and m = 1 on one connection: each a typed error,
+        // and the connection keeps serving.
+        let mut conn = frames(&addr);
+        for (n, d, m) in [(0, 2, 8), (96, 0, 8), (96, 2, 1)] {
+            let reply = exec_one(&mut conn, &scope_job(n, d, m, 7), 0);
+            assert_eq!(
+                reply.json.get("ok"),
+                Some(&Json::Bool(false)),
+                "{}",
+                reply.json
+            );
+            let error = reply.json.get("error").and_then(Json::as_str).unwrap();
+            assert!(error.contains("synthetic input needs"), "{error}");
+            let pong = call(&mut conn, vec![("op", Json::str("ping"))], Vec::new());
+            assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
+        }
+        reply_planes(&exec_one(&mut conn, &scope_job(96, 2, 8, 7), 0));
+        assert_eq!(service.stats().tile_exec_materializations, 1);
+
+        // A submit of n = 0 is refused, over TCP and in process, and the
+        // single worker still runs the next valid job.
+        let submit = |job: Json| {
+            request(
+                &addr,
+                &Json::obj(vec![("op", Json::str("submit")), ("job", job)]),
+            )
+            .unwrap()
+        };
+        let refused = submit(scope_job(0, 2, 8, 7));
+        assert_eq!(refused.get("ok"), Some(&Json::Bool(false)), "{refused}");
+        let mut spec = parse_job_spec(&scope_job(96, 2, 8, 7)).unwrap();
+        spec.input = JobInput::Synthetic {
+            n: 0,
+            d: 2,
+            pattern: 0,
+            noise: 0.3,
+            seed: 7,
+        };
+        assert!(matches!(
+            service.submit(spec),
+            Err(crate::queue::SubmitError::BadSpec(_))
+        ));
+        let accepted = submit(scope_job(96, 2, 8, 7));
+        let id = accepted.get("id").and_then(Json::as_u64).unwrap();
+        let status = service.wait(id, Duration::from_secs(30)).unwrap();
+        assert_eq!(
+            status.state,
+            crate::job::JobState::Done,
+            "{:?}",
+            status.error
+        );
+
+        server.stop();
+        service.shutdown(true);
+    }
+
+    #[test]
+    fn reply_lines_over_the_cap_are_client_errors() {
+        // A one-shot peer that reads the request line, then answers with a
+        // well-formed JSON object of `MAX_LINE_BYTES + 1` bytes and no
+        // newline, and closes.
+        let oversized_peer = || {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let peer = std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                reader.read_line(&mut String::new()).unwrap();
+                let head = r#"{"ok":true,"wire":"binary","pong":true,"pad":""#;
+                let pad = "x".repeat(MAX_LINE_BYTES + 1 - head.len() - 2);
+                let _ = (&stream).write_all(format!("{head}{pad}\"}}").as_bytes());
+            });
+            (addr, peer)
+        };
+
+        let (addr, peer) = oversized_peer();
+        let err = WireConn::connect(&addr, None, WirePreference::Auto).unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        peer.join().unwrap();
+
+        let (addr, peer) = oversized_peer();
+        let err = request(&addr, &Json::obj(vec![("op", Json::str("ping"))])).unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        peer.join().unwrap();
     }
 
     #[test]
@@ -1655,6 +1914,28 @@ mod tests {
             PrecisionMode::Fp64,
         );
         assert!(job_spec_json(&in_memory).is_err());
+    }
+
+    #[test]
+    fn signed_zero_noise_names_one_series() {
+        // The two job objects compare equal, so a connection that keeps
+        // one's inputs serves them to the other: they must be one series.
+        let job = |noise: f64| {
+            Json::obj(vec![
+                (
+                    "input",
+                    Json::obj(vec![
+                        ("kind", Json::str("synthetic")),
+                        ("n", Json::num(64.0)),
+                        ("noise", Json::num(noise)),
+                    ]),
+                ),
+                ("m", Json::num(8.0)),
+            ])
+        };
+        assert_eq!(job(-0.0), job(0.0));
+        let inputs = |noise| JobInputs::materialize(&parse_job_spec(&job(noise)).unwrap()).unwrap();
+        assert_eq!(inputs(-0.0).key, inputs(0.0).key);
     }
 
     /// The exact bytes of the FP32 synthetic job the cluster benchmark

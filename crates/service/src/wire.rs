@@ -44,7 +44,7 @@
 
 use crate::proto::Json;
 use mdmp_precision::Half;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -530,9 +530,19 @@ impl FrameCodec {
                 "length prefix {len} exceeds the {MAX_FRAME_BYTES}-byte cap"
             )));
         }
+        // The buffer grows only as payload bytes arrive, so a header alone
+        // cannot make the reader allocate what its length prefix claims.
         self.payload.clear();
-        self.payload.resize(len, 0);
-        reader.read_exact(&mut self.payload)?;
+        let got = reader
+            .by_ref()
+            .take(len as u64)
+            .read_to_end(&mut self.payload)?;
+        if got < len {
+            return Err(WireError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!("frame payload cut short: {got} of {len} bytes"),
+            )));
+        }
         let mut crc_bytes = [0u8; 4];
         reader.read_exact(&mut crc_bytes)?;
         let expect = u32::from_le_bytes(crc_bytes);
@@ -605,15 +615,9 @@ impl WireConn {
         self.writer.write_all(b"\n")?;
         self.writer.flush()?;
         self.bytes_sent += request.len() as u64 + 1;
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(WireError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed by peer",
-            )));
-        }
-        self.bytes_received += n as u64;
+        let mut buf = Vec::new();
+        let line = crate::server::read_reply_line(&mut self.reader, &mut buf)?;
+        self.bytes_received += line.len() as u64;
         let reply = Json::parse(line.trim()).map_err(WireError::Corrupt)?;
         if reply.get("ok").and_then(Json::as_bool) == Some(true)
             && reply.get("wire").and_then(Json::as_str) == Some("binary")
@@ -846,6 +850,36 @@ mod tests {
         let empty: &[u8] = &[];
         let mut reader = std::io::BufReader::new(empty);
         assert!(matches!(codec.read(&mut reader), Ok(None)));
+    }
+
+    #[test]
+    fn a_claimed_length_does_not_allocate_the_frame() {
+        // A header that claims the largest frame the cap allows, 16
+        // payload bytes, then end of stream: an I/O error, with the
+        // payload buffer grown only by what arrived.
+        let mut bytes = WIRE_MAGIC.to_vec();
+        bytes.extend([WIRE_VERSION, FRAME_KIND_MESSAGE]);
+        bytes.extend((MAX_FRAME_BYTES as u32).to_le_bytes());
+        bytes.extend([0xA5u8; 16]);
+        let mut codec = FrameCodec::new();
+        let mut reader = std::io::BufReader::new(&bytes[..]);
+        match codec.read(&mut reader) {
+            Err(WireError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{e}")
+            }
+            other => panic!("a cut-short payload must be Io, got {other:?}"),
+        }
+        assert!(
+            codec.payload.capacity() < 64 << 10,
+            "payload buffer grew to {} bytes",
+            codec.payload.capacity()
+        );
+        // The same codec still reads a whole frame afterwards.
+        let msg = Message::json(Json::obj(vec![("op", Json::str("ping"))]));
+        let frame = codec.encode(&msg, true).expect("encode").to_vec();
+        let mut reader = std::io::BufReader::new(&frame[..]);
+        let (back, n) = codec.read(&mut reader).expect("read").expect("some");
+        assert_eq!((back, n as usize), (msg, frame.len()));
     }
 
     #[test]
